@@ -868,9 +868,7 @@ fn diff_baseline(runs: &[Run], doc: &Json, tol_pct: f64) -> Vec<String> {
         let approx: [(&str, u64); 2] = [("gc_runs", s.gc_runs), ("gc_pruned", s.gc_pruned)];
         for (key, got_v) in approx {
             let Some(want_v) = want_snap.get(key).and_then(Json::as_f64) else {
-                bad.push(format!(
-                    "baseline series `{series}`: snap missing `{key}`"
-                ));
+                bad.push(format!("baseline series `{series}`: snap missing `{key}`"));
                 continue;
             };
             if !within(got_v as f64, want_v) {

@@ -654,7 +654,7 @@ pub fn run_with_plan(cfg: &ScenarioConfig, plan: &FaultPlan) -> Outcome {
             v.sort();
             v
         };
-        match db.read_txn(|t| snapshot_scan(t)) {
+        match db.read_txn(snapshot_scan) {
             Ok(snap) if snap != locked => violations.push(format!(
                 "snapshot: quiescent snapshot view diverges from locked view \
                  (snapshot {} rows, locked {} rows)",

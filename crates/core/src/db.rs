@@ -11,7 +11,7 @@
 //! * **Pool** — a wall-clock worker pool; `after` delays are real time.
 
 use crate::error::{Error, Result};
-use crate::txn::{action_task, run_txn, run_txn_kind, timer_task, Txn, TxnKind, UserFn};
+use crate::txn::{run_task_body, run_txn, timer_task, Txn, TxnKind, UserFn};
 use parking_lot::{Mutex, RwLock};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -21,10 +21,10 @@ use strip_rules::{CompiledRule, MaintenanceMode, RuleEngine};
 use strip_sql::exec::ResultSet;
 use strip_sql::expr::ScalarFn;
 use strip_sql::{parse_script, parse_statement, PlanCache, Statement};
-use strip_storage::{Catalog, GcStats, IndexKind, Meter, RowId, Schema, TempTable, Value, ViewDef};
+use strip_storage::{Catalog, GcStats, IndexKind, Meter, RowId, Schema, Value, ViewDef};
 use strip_txn::fault::{decide, FaultDecision, FaultInjector, FaultPoint, InjectorHandle};
 use strip_txn::{
-    CostModel, LockManager, Policy, SimStats, Simulator, Task, TxnId, Wal, WorkerPool,
+    CostModel, LockManager, Policy, SimStats, Simulator, Task, TaskCtx, TxnId, Wal, WorkerPool,
 };
 
 /// Granularity of logical locking for transactional access.
@@ -101,10 +101,36 @@ pub(crate) enum ExecutorHandle {
     Pool(WorkerPool),
 }
 
+impl ExecutorHandle {
+    /// Current time in µs (virtual in sim mode, wall in pool mode).
+    fn now_us(&self) -> u64 {
+        match self {
+            ExecutorHandle::Sim(s) => s.lock().now_us(),
+            ExecutorHandle::Pool(p) => p.now_us(),
+        }
+    }
+
+    /// Queue a task on the executor.
+    fn submit(&self, task: Task) {
+        match self {
+            ExecutorHandle::Sim(s) => s.lock().submit(task),
+            ExecutorHandle::Pool(p) => p.submit(task),
+        }
+    }
+
+    /// Run `work` now on the caller's thread as a task of `kind`; the tasks
+    /// it spawns are queued.
+    fn run_inline<R>(&self, kind: &str, work: impl FnOnce(&mut TaskCtx<'_>) -> R) -> R {
+        match self {
+            ExecutorHandle::Sim(s) => s.lock().run_inline(kind, work),
+            ExecutorHandle::Pool(p) => p.run_inline(work),
+        }
+    }
+}
+
 /// Shared state behind a `Strip` handle.
 pub struct StripInner {
     pub(crate) catalog: Catalog,
-    pub(crate) model: CostModel,
     /// Plain (non-materialized) view definitions, expanded on read.
     pub(crate) views: RwLock<HashMap<String, Arc<strip_sql::ast::Query>>>,
     /// Active periodic timers: name -> (interval_us, user function,
@@ -160,6 +186,12 @@ pub struct StripInner {
 impl StripInner {
     pub(crate) fn next_txn_id(&self) -> TxnId {
         TxnId(self.txn_ids.fetch_add(1, Ordering::Relaxed))
+    }
+
+    /// The registered user function `name`.
+    pub(crate) fn user_fn(&self, name: &str) -> Result<UserFn> {
+        let f = self.user_fns.read().get(name).cloned();
+        f.ok_or_else(|| Error::NoSuchFunction(name.into()))
     }
 
     /// Pin a snapshot at the current commit clock and register it. Holding
@@ -229,7 +261,6 @@ impl StripInner {
 
 /// Builder for [`Strip`].
 pub struct StripBuilder {
-    model: CostModel,
     policy: Policy,
     pool_workers: Option<usize>,
     durable: bool,
@@ -246,7 +277,6 @@ pub struct StripBuilder {
 impl Default for StripBuilder {
     fn default() -> Self {
         StripBuilder {
-            model: CostModel::paper_calibrated(),
             policy: Policy::Fifo,
             pool_workers: None,
             durable: false,
@@ -263,12 +293,6 @@ impl Default for StripBuilder {
 }
 
 impl StripBuilder {
-    /// Use a custom cost model.
-    pub fn cost_model(mut self, model: CostModel) -> Self {
-        self.model = model;
-        self
-    }
-
     /// Use a scheduling policy (FIFO / EDF / value-density / seeded).
     pub fn policy(mut self, policy: Policy) -> Self {
         self.policy = policy;
@@ -374,21 +398,18 @@ impl StripBuilder {
         for (table, bound_us) in &self.slos {
             obs.declare_slo(table, *bound_us);
         }
+        let model = CostModel::paper_calibrated();
         let exec = match self.pool_workers {
-            Some(n) => ExecutorHandle::Pool(WorkerPool::new_with_obs(
-                n,
-                self.model.clone(),
-                self.policy,
-                Some(obs.clone()),
-            )),
+            Some(n) => {
+                ExecutorHandle::Pool(WorkerPool::new(n, model, self.policy, Some(obs.clone())))
+            }
             None => {
-                let mut sim = Simulator::new(self.model.clone(), self.policy);
+                let mut sim = Simulator::new(model, self.policy);
                 sim.set_injector(self.injector.clone());
                 sim.set_obs(Some(obs.clone()));
                 ExecutorHandle::Sim(Box::new(Mutex::new(sim)))
             }
         };
-        let model = self.model;
         let plan_cache = Arc::new(PlanCache::with_obs(obs.clone()));
         let locks = LockManager::new();
         locks.set_injector(self.injector.clone());
@@ -404,7 +425,6 @@ impl StripBuilder {
         })));
         let inner = Arc::new(StripInner {
             catalog,
-            model,
             views: RwLock::new(HashMap::new()),
             timers: Mutex::new(HashMap::new()),
             locks,
@@ -487,10 +507,7 @@ impl Strip {
 
     /// Current time in µs (virtual in sim mode, wall in pool mode).
     pub fn now_us(&self) -> u64 {
-        match &self.inner.exec {
-            ExecutorHandle::Sim(s) => s.lock().now_us(),
-            ExecutorHandle::Pool(p) => p.now_us(),
-        }
+        self.inner.exec.now_us()
     }
 
     /// Advance virtual time to `us`, running any tasks that become due
@@ -823,44 +840,20 @@ impl Strip {
         self.txn_mode(kind, TxnKind::ReadOnly, f)
     }
 
+    /// Run a transaction on the caller's thread, at the current time. A
+    /// panic in `f` reaches the caller after the transaction is undone.
     fn txn_mode<R>(
         &self,
         kind: &str,
         mode: TxnKind,
         f: impl FnOnce(&mut Txn<'_>) -> Result<R>,
     ) -> Result<R> {
-        let inner = self.inner.clone();
-        let kind_owned = kind.to_string();
-        match &self.inner.exec {
-            ExecutorHandle::Sim(s) => {
-                let mut sim = s.lock();
-                sim.run_inline(kind, move |ctx| {
-                    ctx.meter.charge(strip_storage::Op::BeginTask, 1);
-                    let r = run_txn_kind(&inner, ctx, &kind_owned, HashMap::new(), None, mode, f);
-                    ctx.meter.charge(strip_storage::Op::EndTask, 1);
-                    r
-                })
-            }
-            ExecutorHandle::Pool(p) => {
-                // Run inline on the caller thread at wall time; spawned
-                // action tasks go to the pool.
-                let meter = strip_txn::CostMeter::new(inner.model.clone());
-                let mut ctx = strip_txn::TaskCtx {
-                    start_us: p.now_us(),
-                    task_id: strip_txn::TaskId::fresh(),
-                    meter: &meter,
-                    spawned: Vec::new(),
-                    trace: strip_obs::TraceCtx::NONE,
-                };
-                ctx.meter.charge(strip_storage::Op::BeginTask, 1);
-                let r = run_txn_kind(&inner, &mut ctx, kind, HashMap::new(), None, mode, f);
-                ctx.meter.charge(strip_storage::Op::EndTask, 1);
-                for t in ctx.spawned {
-                    p.submit(t);
-                }
-                r
-            }
-        }
+        self.inner.exec.run_inline(kind, |ctx| {
+            ctx.meter.charge(strip_storage::Op::BeginTask, 1);
+            let r = run_txn(&self.inner, ctx, kind, HashMap::new(), None, mode, f);
+            ctx.meter.charge(strip_storage::Op::EndTask, 1);
+            r
+        })
     }
 
     /// Submit a transaction to run as a task at `release_us` (trace-driven
@@ -903,14 +896,11 @@ impl Strip {
                 let Some(inner) = weak.upgrade() else {
                     return;
                 };
-                ctx.meter.charge(strip_storage::Op::BeginTask, 1);
-                if let Err(e) = run_txn(&inner, ctx, &kind_owned, HashMap::new(), None, f) {
-                    inner
-                        .errors
-                        .lock()
-                        .push(format!("task `{kind_owned}`: {e}"));
-                }
-                ctx.meter.charge(strip_storage::Op::EndTask, 1);
+                let what = || format!("task `{kind_owned}`");
+                run_task_body(&inner, ctx, what, |ctx| {
+                    let rw = TxnKind::ReadWrite;
+                    run_txn(&inner, ctx, &kind_owned, HashMap::new(), None, rw, f)
+                });
             }),
         )
         .with_value(value);
@@ -923,10 +913,7 @@ impl Strip {
         if self.inner.obs.is_enabled() {
             task = task.with_trace(strip_obs::TraceCtx::root());
         }
-        match &self.inner.exec {
-            ExecutorHandle::Sim(s) => s.lock().submit(task),
-            ExecutorHandle::Pool(p) => p.submit(task),
-        }
+        self.inner.exec.submit(task);
     }
 
     // ---- periodic timers --------------------------------------------------------
@@ -954,11 +941,9 @@ impl Strip {
             );
         }
         let release = self.now_us() + ct.every_us;
-        let task = timer_task(&self.inner, name, release);
-        match &self.inner.exec {
-            ExecutorHandle::Sim(s) => s.lock().submit(task),
-            ExecutorHandle::Pool(p) => p.submit(task),
-        }
+        self.inner
+            .exec
+            .submit(timer_task(&self.inner, name, release));
         Ok(())
     }
 
@@ -1047,7 +1032,12 @@ impl Strip {
     /// Number of currently pinned snapshots (read-only transactions in
     /// flight). Zero whenever no read-only transaction is running.
     pub fn active_snapshots(&self) -> usize {
-        self.inner.snapshots.lock().values().map(|n| *n as usize).sum()
+        self.inner
+            .snapshots
+            .lock()
+            .values()
+            .map(|n| *n as usize)
+            .sum()
     }
 
     /// The garbage-collection horizon: the oldest snapshot timestamp still
@@ -1061,11 +1051,7 @@ impl Strip {
     /// the engine also collects after every publishing commit and when the
     /// oldest snapshot drains).
     pub fn collect_versions(&self) {
-        let now = match &self.inner.exec {
-            ExecutorHandle::Sim(s) => s.lock().now_us(),
-            ExecutorHandle::Pool(p) => p.now_us(),
-        };
-        self.inner.collect_garbage("manual", now);
+        self.inner.collect_garbage("manual", self.now_us());
     }
 
     /// Stamp every bulk-loaded (still unpublished) row in every table with
@@ -1155,13 +1141,6 @@ impl Strip {
         self.inner.engine.unique().registered_functions()
     }
 
-    /// Build an action task directly from a payload (used by tests of the
-    /// task machinery; normal flow goes through rules).
-    #[doc(hidden)]
-    pub fn __action_task_for_test(&self, sa: strip_rules::SpawnAction) -> Task {
-        action_task(&self.inner, sa)
-    }
-
     /// Direct read access to a bound-table-free snapshot of a table's rows
     /// (test helper).
     pub fn table_rows(&self, name: &str) -> Result<Vec<Vec<Value>>> {
@@ -1170,28 +1149,5 @@ impl Strip {
             .into_iter()
             .map(|(_, r)| r.values().to_vec())
             .collect())
-    }
-
-    /// Make a temp table visible is not supported on `Strip` — bound tables
-    /// only exist inside rule-action transactions. This helper exists for
-    /// examples that want to show overlay behavior.
-    #[doc(hidden)]
-    pub fn __overlay_txn_for_test<R>(
-        &self,
-        overlay: HashMap<String, Arc<TempTable>>,
-        f: impl FnOnce(&mut Txn<'_>) -> Result<R>,
-    ) -> Result<R> {
-        let inner = self.inner.clone();
-        match &self.inner.exec {
-            ExecutorHandle::Sim(s) => {
-                let mut sim = s.lock();
-                sim.run_inline("overlay-txn", move |ctx| {
-                    run_txn(&inner, ctx, "overlay-txn", overlay, None, f)
-                })
-            }
-            ExecutorHandle::Pool(_) => Err(Error::Other(
-                "overlay transactions are only available in sim mode".into(),
-            )),
-        }
     }
 }

@@ -3,7 +3,10 @@
 //! A [`Txn`] is created by the task machinery (`run_txn`) inside a task
 //! context. It implements the SQL executor's [`Env`], routing reads through
 //! strict-2PL lock acquisition and writes through the transaction log so
-//! commit-time rule processing (paper §6.3) sees every change.
+//! commit-time rule processing (paper §6.3) sees every change. Its `Drop`
+//! is the one way a transaction ends without committing — an error, a
+//! failed commit, or a panic (see DESIGN.md, "Transaction and task
+//! lifecycle").
 //!
 //! Rule-action transactions get an *overlay* of bound tables: inside a user
 //! function, `select ... from matches` resolves `matches` to the bound
@@ -13,6 +16,7 @@ use crate::db::{LockGranularity, StripInner};
 use crate::error::{Error, Result};
 use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, HashSet};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use strip_obs::{EventKind, TraceCtx};
@@ -44,6 +48,19 @@ pub enum TxnKind {
     /// would pay in the virtual cost model) so throughput comparisons
     /// isolate contention, not accounting. DML is rejected.
     ReadOnly,
+}
+
+/// What `Drop` does when a transaction ends.
+#[derive(Debug, Clone, Copy)]
+enum Exit {
+    /// Not committed: trace `TxnAbort` with this reason, undo every pending
+    /// version, release.
+    Abort(&'static str),
+    /// The commit record is durable in the WAL but was never published (a
+    /// crash at the publish point): release only, as recovery keeps it.
+    Durable,
+    /// Committed and already released by [`Txn::commit`].
+    Committed,
 }
 
 /// An in-flight transaction.
@@ -82,28 +99,32 @@ pub struct Txn<'a> {
     /// [`TxnKind::ReadOnly`]. Registered with the database's snapshot
     /// registry at begin; taken (and deregistered) exactly once at finish.
     snapshot: Cell<Option<u64>>,
-    finished: bool,
+    /// Bytes of the overlay's bound tables, counted against the
+    /// `temp_tables` memory class for exactly the life of the transaction.
+    temp_bytes: u64,
+    exit: Exit,
 }
 
 impl<'a> Txn<'a> {
-    #[allow(clippy::too_many_arguments)]
     fn new(
         inner: &'a Arc<StripInner>,
-        meter: &'a CostMeter,
-        start_us: u64,
-        id: TxnId,
-        kind: String,
+        ctx: &TaskCtx<'a>,
+        kind: &str,
         overlay: HashMap<String, Arc<TempTable>>,
         origin_us: Option<u64>,
-        trace: TraceCtx,
         mode: TxnKind,
     ) -> Txn<'a> {
+        let id = inner.next_txn_id();
+        let temp_bytes: u64 = overlay.values().map(|t| t.mem_bytes()).sum();
+        if temp_bytes > 0 {
+            inner.obs.memory().temp_begin(temp_bytes);
+        }
         // Mint the root of a new trace for transactions that arrive without
         // one (feeds, ad-hoc statements). Action tasks carry their span in.
-        let trace = if trace.is_none() && inner.obs.is_enabled() {
+        let trace = if ctx.trace.is_none() && inner.obs.is_enabled() {
             TraceCtx::root()
         } else {
-            trace
+            ctx.trace
         };
         // A read-only transaction pins the commit clock *now*: every read
         // it performs resolves against the committed prefix at this
@@ -119,10 +140,10 @@ impl<'a> Txn<'a> {
         };
         Txn {
             inner,
-            meter,
-            start_us,
+            meter: ctx.meter,
+            start_us: ctx.start_us,
             id,
-            kind,
+            kind: kind.to_string(),
             log: RefCell::new(TxnLog::new()),
             overlay,
             charged: RefCell::new(HashSet::new()),
@@ -131,7 +152,8 @@ impl<'a> Txn<'a> {
             trace,
             mode,
             snapshot: Cell::new(snapshot),
-            finished: false,
+            temp_bytes,
+            exit: Exit::Abort("rollback"),
         }
     }
 
@@ -490,9 +512,13 @@ impl<'a> Txn<'a> {
         self.charge_get_lock(&table, LockMode::Shared);
         if first {
             if let Some(ts) = self.snapshot.get() {
-                self.inner
-                    .obs
-                    .record_snapshot_read(self.now_us(), self.id.0, &table, ts, self.trace);
+                self.inner.obs.record_snapshot_read(
+                    self.now_us(),
+                    self.id.0,
+                    &table,
+                    ts,
+                    self.trace,
+                );
             }
         }
         Ok(())
@@ -523,22 +549,17 @@ impl<'a> Txn<'a> {
     }
 
     /// Commit: run rule processing over the log, make the changes durable,
-    /// release locks, and return the action tasks to enqueue.
+    /// release locks, and return the action tasks to enqueue. Every failure
+    /// returns after setting the reason `Drop` aborts with.
     pub(crate) fn commit(mut self) -> Result<Vec<Task>> {
         // A crashed database accepts no further commits.
         if self.inner.crashed.load(Ordering::SeqCst) {
-            self.emit_abort("crashed");
-            self.undo();
-            self.release_locks();
-            self.finished = true;
+            self.exit = Exit::Abort("crashed");
             return Err(Error::Crashed);
         }
         // Injected forced abort at the commit point.
         if self.fault_decision(FaultPoint::TxnCommit, &self.kind) == FaultDecision::Abort {
-            self.emit_abort("injected");
-            self.undo();
-            self.release_locks();
-            self.finished = true;
+            self.exit = Exit::Abort("injected");
             return Err(Error::Aborted(format!(
                 "injected abort at commit of `{}`",
                 self.kind
@@ -561,11 +582,7 @@ impl<'a> Txn<'a> {
             )
         };
         if let Err(e) = result {
-            drop(tasks);
-            self.emit_abort("rule-processing");
-            self.undo();
-            self.release_locks();
-            self.finished = true;
+            self.exit = Exit::Abort("rule-processing");
             return Err(Error::Aborted(format!("rule processing failed: {e}")));
         }
         // Durability point: the commit record reaches the WAL before locks
@@ -600,12 +617,8 @@ impl<'a> Txn<'a> {
             None => Ok(()),
         };
         if wal_result.is_err() {
-            drop(tasks);
-            self.emit_abort("wal-crash");
+            self.exit = Exit::Abort("wal-crash");
             self.inner.crashed.store(true, Ordering::SeqCst);
-            self.undo();
-            self.release_locks();
-            self.finished = true;
             return Err(Error::Crashed);
         }
         // Make this commit visible to snapshot readers: stamp every version
@@ -650,10 +663,8 @@ impl<'a> Txn<'a> {
             }
         };
         if crash_at_publish {
-            drop(tasks);
+            self.exit = Exit::Durable;
             self.inner.crashed.store(true, Ordering::SeqCst);
-            self.release_locks();
-            self.finished = true;
             return Err(Error::Crashed);
         }
         let end_us = self.now_us();
@@ -707,7 +718,7 @@ impl<'a> Txn<'a> {
             }
         }
         self.release_locks();
-        self.finished = true;
+        self.exit = Exit::Committed;
         // Opportunistic version GC: this commit superseded versions (its
         // writes marked their slots dirty); reclaim whatever no live
         // snapshot can still see. Cheap when nothing is dirty.
@@ -715,14 +726,6 @@ impl<'a> Txn<'a> {
             self.inner.collect_garbage(&self.kind, end_us);
         }
         Ok(tasks)
-    }
-
-    /// Abort: undo all logged changes in reverse order, release locks.
-    pub(crate) fn rollback(mut self) {
-        self.emit_abort("rollback");
-        self.undo();
-        self.release_locks();
-        self.finished = true;
     }
 
     fn emit_abort(&self, why: &str) {
@@ -795,12 +798,27 @@ impl<'a> Txn<'a> {
 }
 
 impl Drop for Txn<'_> {
+    /// The single exit of every transaction that does not commit: an error
+    /// from its body, a failed commit, or a panic unwinding through it. It
+    /// undoes every pending version in reverse order, then releases locks
+    /// and the snapshot pin, so locked and snapshot readers agree again.
     fn drop(&mut self) {
-        // A dropped-without-commit transaction (panic path) must not leave
-        // locks — or a registered snapshot pin — behind.
-        if !self.finished {
-            self.inner.locks.release_all(self.id);
-            self.release_snapshot();
+        match self.exit {
+            Exit::Abort(why) => {
+                let why = if std::thread::panicking() {
+                    "panic"
+                } else {
+                    why
+                };
+                self.emit_abort(why);
+                self.undo();
+                self.release_locks();
+            }
+            Exit::Durable => self.release_locks(),
+            Exit::Committed => {}
+        }
+        if self.temp_bytes > 0 {
+            self.inner.obs.memory().temp_end(self.temp_bytes);
         }
     }
 }
@@ -911,9 +929,7 @@ impl Env for Txn<'_> {
     }
 
     fn before_write(&self, table: &str) -> strip_sql::Result<()> {
-        if let Err(e) = self.forbid_writes(table) {
-            return Err(e);
-        }
+        self.forbid_writes(table)?;
         self.acquire(table, LockMode::Exclusive)
             .map_err(|e| strip_sql::SqlError::exec(e.to_string()))
     }
@@ -930,9 +946,7 @@ impl Env for Txn<'_> {
     }
 
     fn before_write_keyed(&self, table: &str, column: &str, key: &Value) -> strip_sql::Result<()> {
-        if let Err(e) = self.forbid_writes(table) {
-            return Err(e);
-        }
+        self.forbid_writes(table)?;
         if self.inner.granularity == LockGranularity::Table {
             return self.before_write(table);
         }
@@ -1003,24 +1017,13 @@ fn dml_count(rs: &ResultSet) -> usize {
 }
 
 /// Run a transaction inside a task context: begin, run `f`, commit (rule
-/// processing included) or roll back on error. Spawned action tasks go to
-/// the task context. `origin_us` is the earliest triggering base-commit
-/// time when this is a rule action (staleness is measured from it); plain
-/// user transactions pass `None`.
+/// processing included). An error from `f` — or a panic — drops the
+/// transaction, which aborts it. Spawned action tasks go to the task
+/// context. `origin_us` is the earliest triggering base-commit time when
+/// this is a rule action (staleness is measured from it); plain user
+/// transactions pass `None`. Read-only snapshot transactions pin the
+/// commit clock at begin and read lock-free.
 pub(crate) fn run_txn<R>(
-    inner: &Arc<StripInner>,
-    ctx: &mut TaskCtx<'_>,
-    kind: &str,
-    overlay: HashMap<String, Arc<TempTable>>,
-    origin_us: Option<u64>,
-    f: impl FnOnce(&mut Txn<'_>) -> Result<R>,
-) -> Result<R> {
-    run_txn_kind(inner, ctx, kind, overlay, origin_us, TxnKind::ReadWrite, f)
-}
-
-/// [`run_txn`] with an explicit concurrency-control mode; read-only
-/// snapshot transactions pin the commit clock at begin and read lock-free.
-pub(crate) fn run_txn_kind<R>(
     inner: &Arc<StripInner>,
     ctx: &mut TaskCtx<'_>,
     kind: &str,
@@ -1030,43 +1033,39 @@ pub(crate) fn run_txn_kind<R>(
     f: impl FnOnce(&mut Txn<'_>) -> Result<R>,
 ) -> Result<R> {
     ctx.meter.charge(Op::BeginTxn, 1);
-    let id = inner.next_txn_id();
-    // Bound/transition tables pinned by this transaction count against the
-    // `temp_tables` memory class for exactly the span of the transaction.
-    let temp_bytes: u64 = overlay.values().map(|t| t.mem_bytes()).sum();
-    if temp_bytes > 0 {
-        inner.obs.memory().temp_begin(temp_bytes);
+    let mut txn = Txn::new(inner, ctx, kind, overlay, origin_us, mode);
+    let r = f(&mut txn)?;
+    for t in txn.commit()? {
+        ctx.spawn(t);
     }
-    let mut txn = Txn::new(
-        inner,
-        ctx.meter,
-        ctx.start_us,
-        id,
-        kind.to_string(),
-        overlay,
-        origin_us,
-        ctx.trace,
-        mode,
-    );
-    let result = match f(&mut txn) {
-        Ok(r) => match txn.commit() {
-            Ok(tasks) => {
-                for t in tasks {
-                    ctx.spawn(t);
-                }
-                Ok(r)
-            }
-            Err(e) => Err(e),
-        },
-        Err(e) => {
-            txn.rollback();
-            Err(e)
-        }
-    };
-    if temp_bytes > 0 {
-        inner.obs.memory().temp_end(temp_bytes);
+    Ok(r)
+}
+
+/// The body of every task that runs a transaction: a submitted
+/// transaction, a rule action, a timer firing. It charges
+/// `BeginTask`/`EndTask` around `body`. An error — or a panic, caught here
+/// so that no task unwinds into its executor — becomes one
+/// [`Strip::take_errors`](crate::Strip::take_errors) entry, prefixed with
+/// `what()`.
+pub(crate) fn run_task_body(
+    inner: &StripInner,
+    ctx: &mut TaskCtx<'_>,
+    what: impl FnOnce() -> String,
+    body: impl FnOnce(&mut TaskCtx<'_>) -> Result<()>,
+) {
+    ctx.meter.charge(Op::BeginTask, 1);
+    let outcome = catch_unwind(AssertUnwindSafe(|| body(ctx))).unwrap_or_else(|panic| {
+        let msg = panic
+            .downcast_ref::<&str>()
+            .copied()
+            .or_else(|| panic.downcast_ref::<String>().map(String::as_str))
+            .unwrap_or("non-string payload");
+        Err(Error::Other(format!("panicked: {msg}")))
+    });
+    if let Err(e) = outcome {
+        inner.errors.lock().push(format!("{}: {e}", what()));
     }
-    result
+    ctx.meter.charge(Op::EndTask, 1);
 }
 
 /// Wrap a rule's action (a [`SpawnAction`]) into an executor task. The task:
@@ -1080,7 +1079,7 @@ pub(crate) fn run_txn_kind<R>(
 /// The task kind is `delta:f` on the delta path and `recompute:f` on the
 /// full-recompute path, so the scheduler's per-kind exec histograms and
 /// fault plans distinguish the two maintenance modes.
-pub(crate) fn action_task(inner: &Arc<StripInner>, sa: SpawnAction) -> Task {
+fn action_task(inner: &Arc<StripInner>, sa: SpawnAction) -> Task {
     let weak = Arc::downgrade(inner);
     let kind = match &sa.delta {
         Some(_) => format!("delta:{}", sa.func),
@@ -1099,66 +1098,55 @@ pub(crate) fn action_task(inner: &Arc<StripInner>, sa: SpawnAction) -> Task {
             let Some(inner) = weak.upgrade() else {
                 return;
             };
-            ctx.meter.charge(Op::BeginTask, 1);
-            inner.engine.begin_action(&payload, ctx.meter);
-            let origin_us = payload.origin_us();
-            if inner.obs.is_enabled() {
-                inner.obs.event_ctx(
-                    ctx.now_us(),
-                    0,
-                    EventKind::ActionStart,
-                    &task_kind,
-                    ctx.now_us().saturating_sub(origin_us),
-                    ctx.trace,
-                    0,
-                );
-            }
-            let merges = payload.state.lock().merged_firings;
-            let bound = payload.snapshot_bound();
-            let outcome = match &delta {
-                Some(spec) => run_txn(&inner, ctx, &task_kind, bound, Some(origin_us), |txn| {
-                    let bt = txn.bound(&spec.bound_table).ok_or_else(|| {
-                        Error::Other(format!(
-                            "delta spec for `{func_name}` expects bound table `{}`",
-                            spec.bound_table
-                        ))
-                    })?;
-                    let out = strip_sql::delta_apply(txn, spec, &bt, merges)?;
-                    if inner.obs.is_enabled() {
-                        // Like PlanChoice, dur_us is a count (derived keys
-                        // touched), never time — lineage keeps the whole
-                        // action inside the exec phase.
-                        inner.obs.event_ctx(
-                            txn.now_us(),
-                            txn.id().0,
-                            EventKind::DeltaApply,
-                            &task_kind,
-                            out.keys as u64,
-                            txn.trace_ctx(),
-                            0,
-                        );
-                    }
-                    Ok(())
-                }),
-                None => {
-                    let func = inner.user_fns.read().get(&func_name).cloned();
-                    match func {
-                        None => Err(Error::NoSuchFunction(func_name.clone())),
-                        Some(f) => {
-                            run_txn(&inner, ctx, &task_kind, bound, Some(origin_us), |txn| {
-                                f(txn)
-                            })
+            let what = || format!("rule `{rule}` action `{func_name}`");
+            run_task_body(&inner, ctx, what, |ctx| {
+                inner.engine.begin_action(&payload, ctx.meter);
+                let origin_us = payload.origin_us();
+                if inner.obs.is_enabled() {
+                    inner.obs.event_ctx(
+                        ctx.now_us(),
+                        0,
+                        EventKind::ActionStart,
+                        &task_kind,
+                        ctx.now_us().saturating_sub(origin_us),
+                        ctx.trace,
+                        0,
+                    );
+                }
+                let merges = payload.state.lock().merged_firings;
+                let bound = payload.snapshot_bound();
+                let (origin, rw) = (Some(origin_us), TxnKind::ReadWrite);
+                match &delta {
+                    Some(spec) => run_txn(&inner, ctx, &task_kind, bound, origin, rw, |txn| {
+                        let bt = txn.bound(&spec.bound_table).ok_or_else(|| {
+                            Error::Other(format!(
+                                "delta spec for `{func_name}` expects bound table `{}`",
+                                spec.bound_table
+                            ))
+                        })?;
+                        let out = strip_sql::delta_apply(txn, spec, &bt, merges)?;
+                        if inner.obs.is_enabled() {
+                            // Like PlanChoice, dur_us is a count (derived
+                            // keys touched), never time — lineage keeps the
+                            // whole action inside the exec phase.
+                            inner.obs.event_ctx(
+                                txn.now_us(),
+                                txn.id().0,
+                                EventKind::DeltaApply,
+                                &task_kind,
+                                out.keys as u64,
+                                txn.trace_ctx(),
+                                0,
+                            );
                         }
+                        Ok(())
+                    }),
+                    None => {
+                        let f = inner.user_fn(&func_name)?;
+                        run_txn(&inner, ctx, &task_kind, bound, origin, rw, |txn| f(txn))
                     }
                 }
-            };
-            if let Err(e) = outcome {
-                inner
-                    .errors
-                    .lock()
-                    .push(format!("rule `{rule}` action `{func_name}`: {e}"));
-            }
-            ctx.meter.charge(Op::EndTask, 1);
+            });
         }),
     )
     .with_trace(action_ctx)
@@ -1179,49 +1167,39 @@ pub(crate) fn timer_task(inner: &Arc<StripInner>, name: String, release_us: u64)
                 return;
             };
             // Consume one firing; vanish silently if the timer was dropped.
-            let func_name = {
+            let (func_name, reschedule) = {
                 let mut timers = inner.timers.lock();
                 let Some(st) = timers.get_mut(&name) else {
                     return;
                 };
+                let func = st.func.clone();
                 if let Some(r) = &mut st.remaining {
                     *r -= 1;
-                    if *r == 0 {
-                        let func = st.func.clone();
-                        timers.remove(&name);
-                        Some((func, None))
-                    } else {
-                        Some((st.func.clone(), Some(st.interval_us)))
-                    }
+                }
+                if st.remaining == Some(0) {
+                    timers.remove(&name);
+                    (func, None)
                 } else {
-                    Some((st.func.clone(), Some(st.interval_us)))
+                    (func, Some(st.interval_us))
                 }
             };
-            let Some((func_name, reschedule)) = func_name else {
-                return;
-            };
-            ctx.meter.charge(Op::BeginTask, 1);
-            let func = inner.user_fns.read().get(&func_name).cloned();
-            let outcome = match func {
-                None => Err(Error::NoSuchFunction(func_name.clone())),
-                Some(f) => run_txn(&inner, ctx, &task_kind, HashMap::new(), None, |txn| f(txn)),
-            };
-            if let Err(e) = outcome {
-                inner
-                    .errors
-                    .lock()
-                    .push(format!("timer `{name}` function `{func_name}`: {e}"));
-            }
-            ctx.meter.charge(Op::EndTask, 1);
+            let what = || format!("timer `{name}` function `{func_name}`");
+            run_task_body(&inner, ctx, what, |ctx| {
+                let f = inner.user_fn(&func_name)?;
+                run_txn(
+                    &inner,
+                    ctx,
+                    &task_kind,
+                    HashMap::new(),
+                    None,
+                    TxnKind::ReadWrite,
+                    |txn| f(txn),
+                )
+            });
             if let Some(interval) = reschedule {
                 let next = ctx.now_us() + interval;
-                ctx.spawn(timer_task_again(&inner, name.clone(), next));
+                ctx.spawn(timer_task(&inner, name, next));
             }
         }),
     )
-}
-
-/// Re-entry point used by a firing to schedule the next one.
-fn timer_task_again(inner: &Arc<StripInner>, name: String, release_us: u64) -> Task {
-    timer_task(inner, name, release_us)
 }

@@ -86,12 +86,11 @@ fn cancel_stops_future_deliveries() {
         .unwrap();
     db.drain();
     assert_eq!(sub.events.try_iter().count(), 1);
-    let events = sub.events.clone();
     sub.cancel().unwrap();
     db.execute("update quotes set price = 12.0 where symbol = 'AA'")
         .unwrap();
     db.drain();
-    assert_eq!(events.try_iter().count(), 0);
+    assert_eq!(sub.events.try_iter().count(), 0);
     assert!(db.take_errors().is_empty());
 }
 

@@ -152,7 +152,7 @@ proptest! {
                 apply_shadow(&mut shadow, op);
             }
             // A fresh snapshot sees exactly the new committed state.
-            let fresh = db.read_txn(|t| scan_view(t)).unwrap();
+            let fresh = db.read_txn(scan_view).unwrap();
             prop_assert_eq!(&fresh, &shadow, "fresh snapshot missed a commit");
         }
 

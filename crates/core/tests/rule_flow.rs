@@ -3,8 +3,10 @@
 //! the data of Figure 4 and the three composite-maintenance rules.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
+use std::time::Duration;
 use strip_core::{Result, Strip};
+use strip_obs::MEM_CLASS_NAMES;
 use strip_storage::Value;
 
 /// Schema + Figure 4 data.
@@ -444,17 +446,65 @@ fn bound_table_snapshot_semantics() {
     assert_eq!(vals[3], 1000.0);
 }
 
+/// Run `db.drain()` on a helper thread and report whether it returned
+/// within `timeout`, so a hung executor fails the test instead of hanging.
+fn drains_within(db: &Strip, timeout: Duration) -> bool {
+    let (done, finished) = mpsc::channel();
+    let db = db.clone();
+    let drainer = std::thread::spawn(move || {
+        db.drain();
+        let _ = done.send(());
+    });
+    let ok = finished.recv_timeout(timeout).is_ok();
+    if ok {
+        drainer.join().unwrap();
+    }
+    ok
+}
+
 #[test]
 fn missing_user_function_reports_error() {
-    let db = Strip::new();
-    db.execute("create table t (x int)").unwrap();
-    db.execute("create rule r on t when inserted then execute ghost")
+    // A missing function and one that inserts a row and then panics both end
+    // their action as one reported error, on either executor: drain returns,
+    // the insert is undone, and the bound table's bytes are released.
+    let temp_class = MEM_CLASS_NAMES
+        .iter()
+        .position(|c| *c == "temp_tables")
         .unwrap();
-    db.execute("insert into t values (1)").unwrap();
-    db.drain();
-    let errors = db.take_errors();
-    assert_eq!(errors.len(), 1);
-    assert!(errors[0].contains("ghost"));
+    for on_pool in [false, true] {
+        for func in ["ghost", "boom"] {
+            let case = format!("on pool: {on_pool}, {func}");
+            let db = if on_pool {
+                Strip::builder().pool(1).build()
+            } else {
+                Strip::new()
+            };
+            db.execute_script("create table t (x int); create table audit (x int)")
+                .unwrap();
+            db.register_function("boom", |txn| {
+                txn.exec("insert into audit values (1)", &[])?;
+                panic!("boom went off");
+            });
+            db.execute(&format!(
+                "create rule r on t when inserted \
+                 then evaluate select * from inserted bind as batch execute {func}"
+            ))
+            .unwrap();
+            db.execute("insert into t values (1)").unwrap();
+            assert!(drains_within(&db, Duration::from_secs(10)), "{case}");
+            let errors = db.take_errors();
+            assert_eq!(errors.len(), 1, "{case}: {errors:?}");
+            assert!(errors[0].contains("rule `r`"), "{case}: {errors:?}");
+            assert!(errors[0].contains(func), "{case}: {errors:?}");
+            let sql = "select count(*) as n from audit";
+            let locked = db.txn(|t| t.query(sql, &[])).unwrap();
+            let snapshot = db.read_txn(|t| t.query(sql, &[])).unwrap();
+            assert_eq!(locked.single("n").unwrap().as_i64(), Some(0), "{case}");
+            assert_eq!(snapshot.single("n").unwrap().as_i64(), Some(0), "{case}");
+            let temp_bytes = db.memory_snapshot().class_bytes[temp_class];
+            assert_eq!(temp_bytes, 0, "{case}");
+        }
+    }
 }
 
 #[test]

@@ -77,7 +77,11 @@ fn snapshot_observes_exact_committed_prefix_serially() {
     setup(&db);
     let base = db.commit_ts();
     for step in 0..32i64 {
-        let (from, to, amt) = (step % ACCOUNTS as i64, (step + 3) % ACCOUNTS as i64, 1 + step % 5);
+        let (from, to, amt) = (
+            step % ACCOUNTS as i64,
+            (step + 3) % ACCOUNTS as i64,
+            1 + step % 5,
+        );
         db.txn(|t| transfer(t, from, to, amt)).unwrap();
         let (c, sum, n) = db
             .read_txn(|t| {
@@ -121,9 +125,7 @@ fn open_snapshot_is_stable_across_later_commits() {
     })
     .unwrap();
     // …and a fresh snapshot sees it.
-    let c = db
-        .read_txn(|t| Ok(observe(t)?.0))
-        .unwrap();
+    let c = db.read_txn(|t| Ok(observe(t)?.0)).unwrap();
     assert_eq!(c, 1);
     assert_eq!(db.active_snapshots(), 0, "snapshot registry drains");
 }

@@ -98,6 +98,27 @@ fn timer_errors_are_reported_and_duplicates_rejected() {
     assert_eq!(errors.len(), 1);
     assert!(errors[0].contains("ghost"));
     assert!(db.execute("drop timer nope").is_err());
+
+    // A panicking function is reported like an error: the timer keeps
+    // firing and logs one error per firing.
+    let fired = Arc::new(AtomicU64::new(0));
+    let f = fired.clone();
+    db.register_function("flaky", move |_| {
+        f.fetch_add(1, Ordering::SeqCst);
+        panic!("flaky went off");
+    });
+    db.execute("create timer p every 1 seconds execute flaky limit 3")
+        .unwrap();
+    db.drain();
+    assert_eq!(fired.load(Ordering::SeqCst), 3);
+    let errors = db.take_errors();
+    assert_eq!(errors.len(), 3, "{errors:?}");
+    for e in &errors {
+        assert!(
+            e.contains("timer `p`") && e.contains("flaky went off"),
+            "{e}"
+        );
+    }
 }
 
 #[test]

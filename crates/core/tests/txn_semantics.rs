@@ -1,9 +1,11 @@
 //! Transaction-semantics tests: read-your-writes, multi-statement atomicity,
 //! materialized views, and rule interaction with mixed DML.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use strip_core::{Error, Strip};
+use strip_core::{Error, Strip, Txn};
+use strip_sql::exec::ResultSet;
 
 #[test]
 fn read_your_own_writes_within_a_transaction() {
@@ -22,33 +24,58 @@ fn read_your_own_writes_within_a_transaction() {
     .unwrap();
 }
 
-#[test]
-fn abort_rolls_back_mixed_dml_in_reverse() {
-    let db = Strip::new();
-    db.execute_script(
-        "create table t (k int, v int); \
-         insert into t values (1, 10), (2, 20), (3, 30);",
-    )
-    .unwrap();
-    let r: Result<(), Error> = db.txn(|t| {
-        t.exec("insert into t values (4, 40)", &[])?;
-        t.exec("update t set v = 99 where k = 1", &[])?;
-        t.exec("delete from t where k = 2", &[])?;
-        t.exec("update t set v = 77 where k = 3", &[])?;
-        Err(Error::Other("abort".into()))
-    });
-    assert!(r.is_err());
-    let rs = db.query("select k, v from t order by k").unwrap();
-    assert_eq!(rs.len(), 3);
-    let vals: Vec<(i64, i64)> = (0..3)
+/// `(k, v)` pairs of a `select k, v` result.
+fn kv_pairs(rs: &ResultSet) -> Vec<(i64, i64)> {
+    (0..rs.len())
         .map(|i| {
             (
                 rs.value(i, "k").unwrap().as_i64().unwrap(),
                 rs.value(i, "v").unwrap().as_i64().unwrap(),
             )
         })
-        .collect();
-    assert_eq!(vals, vec![(1, 10), (2, 20), (3, 30)]);
+        .collect()
+}
+
+#[test]
+fn abort_rolls_back_mixed_dml_in_reverse() {
+    // Both ways a body can leave without committing — an `Err`, or a panic
+    // that reaches the caller — undo the same mixed DML on either executor.
+    for on_pool in [false, true] {
+        for panics in [false, true] {
+            let case = format!("on pool: {on_pool}, panics: {panics}");
+            let db = if on_pool {
+                Strip::builder().pool(1).build()
+            } else {
+                Strip::new()
+            };
+            db.execute_script(
+                "create table t (k int, v int); \
+                 insert into t values (1, 10), (2, 20), (3, 30);",
+            )
+            .unwrap();
+            let body = |t: &mut Txn<'_>| -> Result<(), Error> {
+                t.exec("insert into t values (4, 40)", &[])?;
+                t.exec("update t set v = 99 where k = 1", &[])?;
+                t.exec("delete from t where k = 2", &[])?;
+                t.exec("update t set v = 77 where k = 3", &[])?;
+                if panics {
+                    panic!("abort by panic");
+                }
+                Err(Error::Other("abort".into()))
+            };
+            match catch_unwind(AssertUnwindSafe(|| db.txn(body))) {
+                Ok(r) => assert!(!panics && r.is_err(), "{case}"),
+                Err(_) => assert!(panics, "{case}"),
+            }
+            let sql = "select k, v from t order by k";
+            let locked = kv_pairs(&db.txn(|t| t.query(sql, &[])).unwrap());
+            let snapshot = kv_pairs(&db.read_txn(|t| t.query(sql, &[])).unwrap());
+            assert_eq!(locked, vec![(1, 10), (2, 20), (3, 30)], "{case}");
+            assert_eq!(snapshot, locked, "{case}");
+            assert_eq!(db.locks_held(), 0, "{case}");
+            assert_eq!(db.active_snapshots(), 0, "{case}");
+        }
+    }
 }
 
 #[test]

@@ -385,7 +385,14 @@ impl ObsSink {
     /// horizon gauge always updates; a [`EventKind::VersionGc`] event is
     /// traced only when the pass reclaimed something, so idle commits do
     /// not flood the ring.
-    pub fn record_version_gc(&self, at_us: u64, detail: &str, horizon: u64, pruned: u64, freed: u64) {
+    pub fn record_version_gc(
+        &self,
+        at_us: u64,
+        detail: &str,
+        horizon: u64,
+        pruned: u64,
+        freed: u64,
+    ) {
         if !self.is_enabled() {
             return;
         }

@@ -884,7 +884,9 @@ impl StandardTable {
     }
 
     fn collect_versions_impl(&self, horizon: u64) -> GcStats {
-        let dirty: Vec<u32> = std::mem::take(&mut *self.gc_dirty.lock()).into_iter().collect();
+        let dirty: Vec<u32> = std::mem::take(&mut *self.gc_dirty.lock())
+            .into_iter()
+            .collect();
         let indexes = self.indexes();
         let mut stats = GcStats::default();
         let mut requeue: Vec<u32> = Vec::new();
@@ -914,7 +916,7 @@ impl StandardTable {
                 && slot.versions[0].rec.is_none()
                 && slot.versions[0].commit_ts <= horizon;
             if free_now {
-                collected.extend(slot.versions.drain(..));
+                collected.append(&mut slot.versions);
                 slot.generation = slot.generation.wrapping_add(1);
                 stats.freed_slots += 1;
             } else if slot.versions.len() > 1 || slot.versions[0].rec.is_none() {

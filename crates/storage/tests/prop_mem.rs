@@ -68,9 +68,12 @@ fn symbol(s: u8) -> Value {
     Value::str("S".repeat((s % 7) as usize + 1) + &s.to_string())
 }
 
+/// A snapshot image: `(row id, values)` pairs sorted by row id.
+type Image = Vec<(u64, Vec<Value>)>;
+
 /// Canonical, order-independent form of a snapshot image for comparison.
-fn image_at(t: &StandardTable, ts: u64) -> Vec<(u64, Vec<Value>)> {
-    let mut rows: Vec<(u64, Vec<Value>)> = t
+fn image_at(t: &StandardTable, ts: u64) -> Image {
+    let mut rows: Image = t
         .scan_at(ts)
         .into_iter()
         .map(|(id, rec)| (id.as_u64(), rec.values().to_vec()))
@@ -88,7 +91,7 @@ proptest! {
         let mut touched: Vec<RowId> = Vec::new(); // every id ever handed out
         let mut pins: Vec<strip_storage::RecordRef> = Vec::new();
         // Pinned snapshots: (ts, expected image captured at pin time).
-        let mut snaps: Vec<(u64, Vec<(u64, Vec<Value>)>)> = Vec::new();
+        let mut snaps: Vec<(u64, Image)> = Vec::new();
         let mut clock = 0u64; // last published commit timestamp
         let (mut have_ix_sym, mut have_ix_price) = (false, false);
         for op in ops {
@@ -200,7 +203,11 @@ fn gc_horizon_off_by_one_is_caught_by_snapshot_oracle() {
 
     // Correct GC at horizon 1 retains the snapshot's version.
     t.collect_versions(1);
-    assert_eq!(image_at(&t, 1), expected, "correct GC must not disturb the snapshot");
+    assert_eq!(
+        image_at(&t, 1),
+        expected,
+        "correct GC must not disturb the snapshot"
+    );
 
     // The off-by-one mutant collects it; the oracle comparison now fails.
     t.__collect_versions_overshoot(1);

@@ -11,16 +11,16 @@
 //! so rule actions run unchanged in either mode; costs are still charged to
 //! the per-task meter so statistics stay comparable.
 
-use crate::cost::{CostMeter, CostModel};
+use crate::cost::CostModel;
 use crate::sched::{DelayQueue, Policy, ReadyQueue};
 use crate::sim::SimStats;
-use crate::task::{Task, TaskCtx};
+use crate::task::{run_task, Task, TaskCtx, TaskId};
 use parking_lot::{Condvar, Mutex};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use strip_obs::{EventKind, ObsSink};
+use strip_obs::{EventKind, ObsSink, TraceCtx};
 
 struct PoolState {
     delay: DelayQueue,
@@ -52,15 +52,10 @@ pub struct WorkerPool {
 }
 
 impl WorkerPool {
-    /// Start `workers` threads with the given cost model and policy.
-    pub fn new(workers: usize, model: CostModel, policy: Policy) -> WorkerPool {
-        WorkerPool::new_with_obs(workers, model, policy, None)
-    }
-
-    /// Like [`WorkerPool::new`] but with an observability sink. The sink
-    /// must be supplied at construction because worker threads start
-    /// immediately.
-    pub fn new_with_obs(
+    /// Start `workers` threads with the given cost model, policy and
+    /// observability sink. The sink is supplied at construction because
+    /// worker threads start immediately.
+    pub fn new(
         workers: usize,
         model: CostModel,
         policy: Policy,
@@ -118,6 +113,22 @@ impl WorkerPool {
         self.inner.work_cv.notify_one();
     }
 
+    /// Run `work` now on the caller's thread, on the pool's clock and cost
+    /// model but outside its stats; the tasks it spawns go to the pool.
+    pub fn run_inline<R>(&self, work: impl FnOnce(&mut TaskCtx<'_>) -> R) -> R {
+        let (out, _, spawned) = TaskCtx::metered(
+            &self.inner.model,
+            self.now_us(),
+            TaskId::fresh(),
+            TraceCtx::NONE,
+            work,
+        );
+        for t in spawned {
+            self.submit(t);
+        }
+        out
+    }
+
     /// Block until no task is queued, delayed, or running.
     pub fn wait_idle(&self) {
         let mut st = self.inner.state.lock();
@@ -145,22 +156,11 @@ impl WorkerPool {
         let st = self.inner.state.lock();
         st.ready.len() + st.delay.len()
     }
-
-    /// Stop accepting work and join the workers. Remaining queued tasks are
-    /// dropped.
-    pub fn shutdown(mut self) {
-        {
-            let mut st = self.inner.state.lock();
-            st.shutdown = true;
-        }
-        self.inner.work_cv.notify_all();
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
-    }
 }
 
 impl Drop for WorkerPool {
+    /// Stop accepting work and join the workers. Remaining queued tasks are
+    /// dropped.
     fn drop(&mut self) {
         {
             let mut st = self.inner.state.lock();
@@ -186,6 +186,9 @@ fn worker_loop(inner: Arc<PoolInner>) {
                     st.ready.push(t);
                 }
                 if let Some(t) = st.ready.pop() {
+                    // Active before the queue lock drops, so `wait_idle`
+                    // never sees the task neither queued nor running.
+                    inner.active.fetch_add(1, Ordering::SeqCst);
                     break t;
                 }
                 // Sleep until the next release or new work.
@@ -203,69 +206,13 @@ fn worker_loop(inner: Arc<PoolInner>) {
             }
         };
 
-        inner.active.fetch_add(1, Ordering::SeqCst);
-        let meter = CostMeter::new(inner.model.clone());
-        let start_us = inner.now_us();
-        let pool_queue_us = start_us.saturating_sub(task.release_us);
-        if let Some(obs) = &inner.obs {
-            obs.event_ctx(
-                start_us,
-                task.id.0,
-                EventKind::TxnStart,
-                &task.kind,
-                pool_queue_us,
-                task.trace,
-                0,
-            );
-            obs.record_queue(pool_queue_us);
-            if let Some(dl) = task.deadline_us {
-                if start_us >= dl {
-                    obs.event_ctx(
-                        start_us,
-                        task.id.0,
-                        EventKind::DeadlineMiss,
-                        &task.kind,
-                        start_us - dl,
-                        task.trace,
-                        0,
-                    );
-                }
-            }
-        }
-        let mut ctx = TaskCtx {
-            start_us,
-            task_id: task.id,
-            meter: &meter,
-            spawned: Vec::new(),
-            trace: task.trace,
-        };
-        let kind = task.kind.clone();
-        let release_us = task.release_us;
-        let deadline_us = task.deadline_us;
-        (task.work)(&mut ctx);
-        let spawned = std::mem::take(&mut ctx.spawned);
-        let charged = meter.charged_us();
-
-        let (tasks_run, busy_us) = {
-            let mut stats = inner.stats.lock();
-            stats.tasks_run += 1;
-            if deadline_us.is_some_and(|dl| start_us >= dl) {
-                stats.deadline_misses += 1;
-            }
-            stats.busy_us += charged;
-            let ks = stats.by_kind.entry(kind.to_string()).or_default();
-            ks.count += 1;
-            ks.total_us += charged;
-            ks.max_us = ks.max_us.max(charged);
-            ks.queue_us += start_us.saturating_sub(release_us);
-            (stats.tasks_run, stats.busy_us)
-        };
-        if let Some(obs) = &inner.obs {
-            obs.record_exec(&kind, charged);
-            // Pool-mode windows advance over the wall clock; concurrent
-            // seal attempts are serialized inside the collector.
-            obs.window_tick(inner.now_us(), tasks_run, busy_us);
-        }
+        let (kind, started, work) = task.start(inner.now_us());
+        // Pool-mode windows advance over the wall clock; concurrent seal
+        // attempts are serialized inside the collector.
+        let obs = inner.obs.as_deref();
+        let ((), spawned) = run_task(&inner.model, obs, &kind, started, work, |_| {
+            (inner.now_us(), inner.stats.lock())
+        });
         if !spawned.is_empty() {
             let mut st = inner.state.lock();
             let now = inner.now_us();
@@ -291,7 +238,7 @@ mod tests {
 
     #[test]
     fn runs_submitted_tasks() {
-        let pool = WorkerPool::new(2, CostModel::free(), Policy::Fifo);
+        let pool = WorkerPool::new(2, CostModel::free(), Policy::Fifo, None);
         let counter = Arc::new(AtomicU64::new(0));
         for _ in 0..10 {
             let c = counter.clone();
@@ -305,12 +252,11 @@ mod tests {
         pool.wait_idle();
         assert_eq!(counter.load(Ordering::SeqCst), 10);
         assert_eq!(pool.stats().tasks_run, 10);
-        pool.shutdown();
     }
 
     #[test]
     fn delayed_tasks_wait_for_release() {
-        let pool = WorkerPool::new(1, CostModel::free(), Policy::Fifo);
+        let pool = WorkerPool::new(1, CostModel::free(), Policy::Fifo, None);
         let ran_at = Arc::new(AtomicU64::new(0));
         let r = ran_at.clone();
         let release = pool.now_us() + 30_000; // 30 ms
@@ -326,12 +272,11 @@ mod tests {
             ran_at.load(Ordering::SeqCst) >= release,
             "task ran before its release time"
         );
-        pool.shutdown();
     }
 
     #[test]
     fn spawned_tasks_complete_before_idle() {
-        let pool = WorkerPool::new(2, CostModel::free(), Policy::Fifo);
+        let pool = WorkerPool::new(2, CostModel::free(), Policy::Fifo, None);
         let counter = Arc::new(AtomicU64::new(0));
         let c = counter.clone();
         pool.submit(Task::immediate(
@@ -350,12 +295,11 @@ mod tests {
         ));
         pool.wait_idle();
         assert_eq!(counter.load(Ordering::SeqCst), 5);
-        pool.shutdown();
     }
 
     #[test]
     fn drop_shuts_down_cleanly() {
-        let pool = WorkerPool::new(4, CostModel::free(), Policy::Fifo);
+        let pool = WorkerPool::new(4, CostModel::free(), Policy::Fifo, None);
         pool.submit(Task::immediate("t", Box::new(|_| {})));
         pool.wait_idle();
         drop(pool);

@@ -13,13 +13,13 @@
 //! CPU-utilization framing). Tasks spawned during execution (triggered rule
 //! actions) are submitted when the task completes.
 
-use crate::cost::{CostMeter, CostModel};
+use crate::cost::CostModel;
 use crate::fault::{decide, FaultDecision, FaultPoint, InjectorHandle};
 use crate::sched::{DelayQueue, Policy, ReadyQueue};
-use crate::task::{Task, TaskCtx};
+use crate::task::{run_task, Started, Task, TaskCtx, TaskId};
 use std::collections::HashMap;
 use std::sync::Arc;
-use strip_obs::{EventKind, ObsSink};
+use strip_obs::{EventKind, ObsSink, TraceCtx};
 
 /// Aggregate statistics for one task kind.
 #[derive(Debug, Clone, Default)]
@@ -100,6 +100,18 @@ impl SimStats {
             .filter(|(k, _)| k.starts_with(prefix))
             .map(|(_, s)| s.count)
             .sum()
+    }
+
+    /// Fold one finished task into the totals and its kind's row.
+    pub(crate) fn record(&mut self, kind: &str, charged_us: u64, queue_us: u64, missed: bool) {
+        self.tasks_run += 1;
+        self.busy_us += charged_us;
+        self.deadline_misses += u64::from(missed);
+        let ks = self.by_kind.entry(kind.to_string()).or_default();
+        ks.count += 1;
+        ks.total_us += charged_us;
+        ks.max_us = ks.max_us.max(charged_us);
+        ks.queue_us += queue_us;
     }
 }
 
@@ -241,69 +253,8 @@ impl Simulator {
             self.clock_us += d;
             self.release_due();
         }
-        if let Some(dl) = task.deadline_us {
-            if self.clock_us >= dl {
-                self.stats.deadline_misses += 1;
-                if let Some(obs) = &self.obs {
-                    obs.event_ctx(
-                        self.clock_us,
-                        task.id.0,
-                        EventKind::DeadlineMiss,
-                        &task.kind,
-                        self.clock_us - dl,
-                        task.trace,
-                        0,
-                    );
-                }
-            }
-        }
-        let meter = CostMeter::new(self.model.clone());
-        let mut ctx = TaskCtx {
-            start_us: self.clock_us,
-            task_id: task.id,
-            meter: &meter,
-            spawned: Vec::new(),
-            trace: task.trace,
-        };
-        let kind = task.kind.clone();
-        let release_us = task.release_us;
-        let queue_us = self.clock_us.saturating_sub(release_us);
-        if let Some(obs) = &self.obs {
-            obs.event_ctx(
-                self.clock_us,
-                task.id.0,
-                EventKind::TxnStart,
-                &kind,
-                queue_us,
-                task.trace,
-                0,
-            );
-            obs.record_queue(queue_us);
-        }
-        (task.work)(&mut ctx);
-        let spawned = std::mem::take(&mut ctx.spawned);
-        let charged = meter.charged_us();
-
-        // Account.
-        self.clock_us += charged;
-        self.stats.busy_us += charged;
-        self.stats.tasks_run += 1;
-        let ks = self.stats.by_kind.entry(kind.to_string()).or_default();
-        ks.count += 1;
-        ks.total_us += charged;
-        ks.max_us = ks.max_us.max(charged);
-        ks.queue_us += queue_us;
-        if let Some(obs) = &self.obs {
-            obs.record_exec(&kind, charged);
-            obs.window_tick(self.clock_us, self.stats.tasks_run, self.stats.busy_us);
-        }
-
-        // Tasks created during execution are submitted afterwards — a rule
-        // action is "released as soon as the triggering transaction commits
-        // unless a delay is specified" (§2).
-        for t in spawned {
-            self.submit(t);
-        }
+        let (kind, started, work) = task.start(self.clock_us);
+        self.run(&kind, started, work);
         true
     }
 
@@ -312,28 +263,27 @@ impl Simulator {
     /// submitted. This is how the synchronous `Strip` API runs caller
     /// transactions without routing them through the ready queue.
     pub fn run_inline<R>(&mut self, kind: &str, work: impl FnOnce(&mut TaskCtx<'_>) -> R) -> R {
-        let meter = CostMeter::new(self.model.clone());
-        let mut ctx = TaskCtx {
+        let started = Started {
+            id: TaskId::fresh(),
+            trace: TraceCtx::NONE,
             start_us: self.clock_us,
-            task_id: crate::task::TaskId::fresh(),
-            meter: &meter,
-            spawned: Vec::new(),
-            trace: strip_obs::TraceCtx::NONE,
+            queued: None,
         };
-        let out = work(&mut ctx);
-        let spawned = std::mem::take(&mut ctx.spawned);
-        let charged = meter.charged_us();
-        self.clock_us += charged;
-        self.stats.busy_us += charged;
-        self.stats.tasks_run += 1;
-        let ks = self.stats.by_kind.entry(kind.to_string()).or_default();
-        ks.count += 1;
-        ks.total_us += charged;
-        ks.max_us = ks.max_us.max(charged);
-        if let Some(obs) = &self.obs {
-            obs.record_exec(kind, charged);
-            obs.window_tick(self.clock_us, self.stats.tasks_run, self.stats.busy_us);
-        }
+        self.run(kind, started, work)
+    }
+
+    /// Run one task through [`run_task`], advancing the virtual clock by
+    /// what it charged.
+    fn run<R>(&mut self, kind: &str, task: Started, work: impl FnOnce(&mut TaskCtx<'_>) -> R) -> R {
+        let (clock_us, stats) = (&mut self.clock_us, &mut self.stats);
+        let obs = self.obs.as_deref();
+        let (out, spawned) = run_task(&self.model, obs, kind, task, work, |charged| {
+            *clock_us += charged;
+            (*clock_us, stats)
+        });
+        // Tasks created during execution are submitted afterwards — a rule
+        // action is "released as soon as the triggering transaction commits
+        // unless a delay is specified" (§2).
         for t in spawned {
             self.submit(t);
         }

@@ -6,9 +6,12 @@
 //! release times sit in the delay queue (this is how `after`-delayed unique
 //! transactions are implemented).
 
+use crate::cost::{CostMeter, CostModel};
+use crate::sim::SimStats;
+use std::ops::DerefMut;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use strip_obs::TraceCtx;
+use strip_obs::{EventKind, ObsSink, TraceCtx};
 
 /// Task identifier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -40,6 +43,28 @@ pub struct TaskCtx<'a> {
 }
 
 impl TaskCtx<'_> {
+    /// Run `work` as a task starting at `start_us` on a fresh meter — the
+    /// metered run every executor shares. Returns the work's output, the µs
+    /// it charged and the tasks it spawned.
+    pub(crate) fn metered<R>(
+        model: &CostModel,
+        start_us: u64,
+        task_id: TaskId,
+        trace: TraceCtx,
+        work: impl FnOnce(&mut TaskCtx<'_>) -> R,
+    ) -> (R, u64, Vec<Task>) {
+        let meter = CostMeter::new(model.clone());
+        let mut ctx = TaskCtx {
+            start_us,
+            task_id,
+            meter: &meter,
+            spawned: Vec::new(),
+            trace,
+        };
+        let out = work(&mut ctx);
+        (out, meter.charged_us(), ctx.spawned)
+    }
+
     /// Current virtual time: start time plus the work charged so far. This
     /// is what commit timestamps and `after`-delay release times are
     /// computed from.
@@ -128,6 +153,96 @@ impl Task {
         self.trace = trace;
         self
     }
+
+    /// Take a task from a ready queue at `start_us`: its kind, its
+    /// [`Started`] record and its work.
+    pub(crate) fn start(self, start_us: u64) -> (Arc<str>, Started, TaskWork) {
+        let started = Started {
+            id: self.id,
+            trace: self.trace,
+            start_us,
+            queued: Some((self.release_us, self.deadline_us)),
+        };
+        (self.kind, started, self.work)
+    }
+}
+
+/// A task as an executor starts it: what [`run_task`] traces and accounts
+/// the run by, besides its kind.
+pub(crate) struct Started {
+    pub id: TaskId,
+    pub trace: TraceCtx,
+    pub start_us: u64,
+    /// Release time and deadline of a task taken from a ready queue; `None`
+    /// for inline work, which is neither traced as started nor queued.
+    pub queued: Option<(u64, Option<u64>)>,
+}
+
+/// Run one task and account it — the routine behind
+/// [`Simulator::step`](crate::Simulator::step),
+/// [`Simulator::run_inline`](crate::Simulator::run_inline) and every pool
+/// worker. A queued task is traced as started, after its deadline miss if
+/// it missed one, and its queue time is recorded. `finish` gets the µs the
+/// run charged; it moves the executor's clock past the run and returns the
+/// clock with the stats to account into. The exec histogram and the
+/// telemetry windows follow. Returns the work's output and the tasks it
+/// spawned.
+pub(crate) fn run_task<R, S: DerefMut<Target = SimStats>>(
+    model: &CostModel,
+    obs: Option<&ObsSink>,
+    kind: &str,
+    task: Started,
+    work: impl FnOnce(&mut TaskCtx<'_>) -> R,
+    finish: impl FnOnce(u64) -> (u64, S),
+) -> (R, Vec<Task>) {
+    let Started {
+        id,
+        trace,
+        start_us,
+        queued,
+    } = task;
+    let (queue_us, missed_by) = match queued {
+        Some((release_us, deadline_us)) => (
+            start_us.saturating_sub(release_us),
+            deadline_us
+                .filter(|&dl| start_us >= dl)
+                .map(|dl| start_us - dl),
+        ),
+        None => (0, None),
+    };
+    if let (Some(obs), Some(_)) = (obs, queued) {
+        if let Some(late_us) = missed_by {
+            obs.event_ctx(
+                start_us,
+                id.0,
+                EventKind::DeadlineMiss,
+                kind,
+                late_us,
+                trace,
+                0,
+            );
+        }
+        obs.event_ctx(
+            start_us,
+            id.0,
+            EventKind::TxnStart,
+            kind,
+            queue_us,
+            trace,
+            0,
+        );
+        obs.record_queue(queue_us);
+    }
+    let (out, charged, spawned) = TaskCtx::metered(model, start_us, id, trace, work);
+    let (now_us, mut stats) = finish(charged);
+    stats.record(kind, charged, queue_us, missed_by.is_some());
+    let (tasks_run, busy_us) = (stats.tasks_run, stats.busy_us);
+    drop(stats);
+    if let Some(obs) = obs {
+        obs.record_exec(kind, charged);
+        obs.window_tick(now_us, tasks_run, busy_us);
+    }
+    (out, spawned)
 }
 
 #[cfg(test)]
