@@ -39,7 +39,7 @@ use strip_bench::{fresh_pta_windowed, fresh_pta_windowed_durable, Scale};
 use strip_finance::CompVariant;
 use strip_obs::json::{self, Json};
 use strip_obs::{
-    render_attribution, AttributionSummary, ObsSnapshot, SloReport, WindowsSnapshot,
+    render_attribution, AttributionSummary, Hist, ObsSnapshot, SloReport, WindowsSnapshot,
     MEM_CLASS_NAMES,
 };
 
@@ -388,10 +388,11 @@ fn check(runs: &[Run], json_doc: &str) -> Vec<String> {
                     r.series
                 ));
             }
-            if !(h.mean.is_finite() && h.mean > 0.0) {
+            if !(h.mean().is_finite() && h.mean() > 0.0) {
                 bad.push(format!(
                     "run `{}`: staleness mean for `{table}` is {} (want finite, non-zero)",
-                    r.series, h.mean
+                    r.series,
+                    h.mean()
                 ));
             }
         }
@@ -491,13 +492,14 @@ fn check(runs: &[Run], json_doc: &str) -> Vec<String> {
     // WAL coverage: only the durable series logs, and it must have logged.
     for r in runs {
         let durable = r.series == DURABLE_SERIES;
-        if durable && r.snapshot.wal_us.count == 0 {
+        let wal = r.snapshot.hists[Hist::Wal as usize].count;
+        if durable && wal == 0 {
             bad.push("durable run recorded no wal_us samples".to_string());
         }
-        if !durable && r.snapshot.wal_us.count != 0 {
+        if !durable && wal != 0 {
             bad.push(format!(
-                "non-durable run `{}` recorded {} wal_us samples (should be WAL-free)",
-                r.series, r.snapshot.wal_us.count
+                "non-durable run `{}` recorded {wal} wal_us samples (should be WAL-free)",
+                r.series
             ));
         }
     }

@@ -20,7 +20,7 @@ use std::process::ExitCode;
 use strip_bench::{fresh_pta_windowed, top_liveness_failures, Scale};
 use strip_finance::CompVariant;
 use strip_obs::export::{fmt_bytes, render_hot};
-use strip_obs::WindowFrame;
+use strip_obs::{Hist, WindowFrame};
 use strip_storage::Value;
 
 const WINDOW_US: u64 = 1_000_000;
@@ -101,7 +101,7 @@ fn frame_line(f: &WindowFrame) -> String {
         if f.open { " open" } else { "" },
         f.tasks_run,
         f.busy_us,
-        f.queue.percentile(0.99),
+        f.hists[Hist::Queue as usize].percentile(0.99),
         fmt_bytes(f.mem.end_bytes),
         f.mem.delta_bytes,
         if stale.is_empty() {

@@ -266,7 +266,6 @@ pub struct StripBuilder {
     durable: bool,
     injector: InjectorHandle,
     obs: Option<Arc<ObsSink>>,
-    telemetry: Option<(u64, usize)>,
     slos: Vec<(String, u64)>,
     granularity: LockGranularity,
     planner: strip_sql::PlannerMode,
@@ -282,7 +281,6 @@ impl Default for StripBuilder {
             durable: false,
             injector: None,
             obs: None,
-            telemetry: None,
             slos: Vec::new(),
             granularity: LockGranularity::Key,
             planner: strip_sql::PlannerMode::CostBased,
@@ -326,16 +324,6 @@ impl StripBuilder {
     /// or a sink with a larger trace ring).
     pub fn observability(mut self, obs: Arc<ObsSink>) -> Self {
         self.obs = Some(obs);
-        self
-    }
-
-    /// Configure the windowed telemetry collector of the *default* sink:
-    /// window width in µs of virtual time and the ring capacity (how many
-    /// sealed windows are retained). Ignored when an explicit sink is
-    /// installed with [`StripBuilder::observability`] — window geometry is
-    /// part of the sink (`ObsSink::with_windows`).
-    pub fn telemetry_windows(mut self, window_us: u64, capacity: usize) -> Self {
-        self.telemetry = Some((window_us, capacity));
         self
     }
 
@@ -391,10 +379,7 @@ impl StripBuilder {
 
     /// Build the database.
     pub fn build(self) -> Strip {
-        let obs = self.obs.unwrap_or_else(|| match self.telemetry {
-            Some((window_us, cap)) => ObsSink::with_windows(4096, window_us, cap),
-            None => ObsSink::new(4096),
-        });
+        let obs = self.obs.unwrap_or_else(|| ObsSink::new(4096));
         for (table, bound_us) in &self.slos {
             obs.declare_slo(table, *bound_us);
         }

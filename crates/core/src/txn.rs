@@ -19,7 +19,7 @@ use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use strip_obs::{EventKind, TraceCtx};
+use strip_obs::{EventKind, Hist, TraceCtx};
 use strip_rules::SpawnAction;
 use strip_sql::exec::{Env, Rel, ResultSet};
 use strip_sql::expr::ScalarFn;
@@ -601,7 +601,7 @@ impl<'a> Txn<'a> {
                 let res = wal.lock().append_committed(self.id.0, log.entries());
                 let wal_us = self.meter.charged_us() - wal_t0;
                 if self.inner.obs.is_enabled() {
-                    self.inner.obs.record_wal(wal_us);
+                    self.inner.obs.record(Hist::Wal, wal_us);
                     self.inner.obs.event_ctx(
                         self.now_us(),
                         self.id.0,

@@ -7,7 +7,7 @@
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
 use strip_core::Strip;
-use strip_obs::EventKind;
+use strip_obs::{EventKind, Hist};
 
 #[test]
 fn lock_wait_histograms_label_by_granularity() {
@@ -74,27 +74,23 @@ fn lock_wait_histograms_label_by_granularity() {
     db.drain();
 
     let snap = db.obs().snapshot();
+    let [total, table, key] =
+        [Hist::LockWait, Hist::LockWaitTable, Hist::LockWaitKey].map(|h| &snap.hists[h as usize]);
     assert!(
-        snap.lock_wait_key_us.count >= 1,
+        key.count >= 1,
         "the blocked key probe must record a key-granular wait: {snap:?}"
     );
     assert!(
-        snap.lock_wait_table_us.count >= 1,
+        table.count >= 1,
         "the blocked scan must record a table-granular wait: {snap:?}"
     );
     // The labeled histograms partition the total exactly, in both count
     // and mass.
-    assert_eq!(
-        snap.lock_wait_us.count,
-        snap.lock_wait_table_us.count + snap.lock_wait_key_us.count
-    );
-    assert_eq!(
-        snap.lock_wait_us.sum,
-        snap.lock_wait_table_us.sum + snap.lock_wait_key_us.sum
-    );
+    assert_eq!(total.count, table.count + key.count);
+    assert_eq!(total.sum, table.sum + key.sum);
     // Both waiters blocked for most of the holder's 5ms sleep.
-    assert!(snap.lock_wait_key_us.max >= 1_000, "{snap:?}");
-    assert!(snap.lock_wait_table_us.max >= 1_000, "{snap:?}");
+    assert!(key.max >= 1_000, "{snap:?}");
+    assert!(table.max >= 1_000, "{snap:?}");
 
     // The traced LockWait events carry the resource name, so granularity
     // is recoverable per event: `#` marks a key resource.
@@ -117,7 +113,7 @@ fn lock_wait_histograms_label_by_granularity() {
     );
     assert_eq!(
         waits.len() as u64,
-        snap.lock_wait_us.count,
+        total.count,
         "every histogram entry has a matching trace event"
     );
 

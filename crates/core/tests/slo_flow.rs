@@ -5,11 +5,12 @@
 //! carries the per-window staleness series the verdicts are computed from.
 
 use strip_core::Strip;
+use strip_obs::ObsSink;
 
 #[test]
 fn builder_and_sql_slos_feed_windowed_report() {
     let db = Strip::builder()
-        .telemetry_windows(100_000, 64) // 100ms windows of virtual time
+        .observability(ObsSink::with_windows(4096, 100_000, 64)) // 100ms windows of virtual time
         .staleness_slo("audit_trail", 10_000_000) // generous: met
         .build();
     db.execute_script(

@@ -1,7 +1,11 @@
-//! Exporters: hand-rolled JSON snapshot and Prometheus text format.
+//! Exporters: hand-rolled JSON, Prometheus text format, and rendered
+//! tables.
 //!
 //! The workspace has a no-serde policy (vendored deps only), so the JSON
-//! emitter is written by hand. The schema is flat and stable:
+//! emitter is written by hand. Every histogram, in a run snapshot or a
+//! window frame, is written by one writer, and the fixed histograms are
+//! looped over from [`HISTS`], which names each one once for JSON,
+//! Prometheus and the table. The run snapshot's schema is flat and stable:
 //!
 //! ```json
 //! {
@@ -14,14 +18,18 @@
 //!     ...
 //!   },
 //!   "exec_us": {"<kind>": {..hist..}, ...},
-//!   "staleness_us": {"<derived table>": {..hist..}, ...}
+//!   "staleness_us": {"<derived table>": {..hist..}, ...},
+//!   ...
 //! }
 //! ```
+//!
+//! A window frame carries the same `"<json name>": {..hist..}` entries for
+//! the fixed histograms, plus `exec_us` and `staleness_us`.
 
-use crate::hist::{bucket_hi, HistSummary};
+use crate::hist::{bucket_hi, HistSnapshot, HISTS, HIST_COUNT};
 use crate::mem::{MemorySnapshot, MEM_CLASS_NAMES};
 use crate::sink::ObsSnapshot;
-use crate::window::{HistFrame, HotEntry, SloReport, WindowFrame, WindowsSnapshot};
+use crate::window::{HotEntry, SloReport, WindowFrame, WindowsSnapshot, DEFAULT_BUDGET_PCT};
 use std::fmt::Write as _;
 
 /// Escape a string for inclusion in a JSON string literal.
@@ -80,26 +88,39 @@ fn json_f64(v: f64) -> String {
     }
 }
 
-fn hist_json(h: &HistSummary) -> String {
+/// One histogram as a JSON object; buckets are `[upper_edge_us, count]`.
+fn hist_json(h: &HistSnapshot) -> String {
     let buckets: Vec<String> = h
         .buckets
         .iter()
-        .map(|(e, n)| format!("[{e},{n}]"))
+        .map(|&(k, n)| format!("[{},{n}]", bucket_hi(k)))
         .collect();
     format!(
         "{{\"count\":{},\"sum\":{},\"max\":{},\"mean\":{},\"p50\":{},\"p90\":{},\"p99\":{},\"buckets\":[{}]}}",
         h.count,
         h.sum,
         h.max,
-        json_f64(h.mean),
-        h.p50,
-        h.p90,
-        h.p99,
+        json_f64(h.mean()),
+        h.percentile(0.50),
+        h.percentile(0.90),
+        h.percentile(0.99),
         buckets.join(",")
     )
 }
 
-fn named_hists_json(items: &[(String, HistSummary)]) -> String {
+/// `"<name>":{..hist..}` members, comma-separated: the fixed histograms
+/// under their [`HISTS`] names.
+fn fixed_hists_json(hists: &[HistSnapshot; HIST_COUNT]) -> String {
+    let fields: Vec<String> = HISTS
+        .iter()
+        .zip(hists)
+        .map(|(n, h)| format!("\"{}\":{}", n.json, hist_json(h)))
+        .collect();
+    fields.join(",")
+}
+
+/// A histogram family as a JSON object keyed by label.
+fn named_hists_json(items: &[(String, HistSnapshot)]) -> String {
     let fields: Vec<String> = items
         .iter()
         .map(|(k, h)| format!("\"{}\":{}", json_escape(k), hist_json(h)))
@@ -110,18 +131,6 @@ fn named_hists_json(items: &[(String, HistSummary)]) -> String {
 impl ObsSnapshot {
     /// Serialise the snapshot as a JSON object (no trailing newline).
     pub fn to_json(&self) -> String {
-        let core = [
-            ("queue_us", &self.queue_us),
-            ("lock_wait_us", &self.lock_wait_us),
-            ("lock_wait_table_us", &self.lock_wait_table_us),
-            ("lock_wait_key_us", &self.lock_wait_key_us),
-            ("wal_us", &self.wal_us),
-            ("plan_compile_us", &self.plan_compile_us),
-        ];
-        let hists: Vec<String> = core
-            .iter()
-            .map(|(k, h)| format!("\"{k}\":{}", hist_json(h)))
-            .collect();
         let misses: Vec<String> = self
             .plan_misestimates
             .iter()
@@ -150,7 +159,7 @@ impl ObsSnapshot {
             self.enabled,
             self.events_traced,
             self.ring_capacity,
-            hists.join(","),
+            fixed_hists_json(&self.hists),
             named_hists_json(&self.exec_us),
             named_hists_json(&self.staleness),
             self.plan_choices,
@@ -168,13 +177,19 @@ impl ObsSnapshot {
         let _ = writeln!(out, "# TYPE strip_events_traced_total counter");
         let _ = writeln!(out, "strip_events_traced_total {}", self.events_traced);
 
-        let mut emit = |name: &str, labels: &str, h: &HistSummary| {
+        // A family's samples are contiguous, so its TYPE line is written
+        // once, when its first sample is.
+        let mut typed = "";
+        let mut emit = |name: &'static str, labels: &str, h: &HistSnapshot| {
+            if name != typed {
+                let _ = writeln!(out, "# TYPE {name} summary");
+                typed = name;
+            }
             let sep = if labels.is_empty() {
                 String::new()
             } else {
                 format!("{{{labels}}}")
             };
-            let _ = writeln!(out, "# TYPE {name} summary");
             let _ = writeln!(out, "{name}_count{sep} {}", h.count);
             let _ = writeln!(out, "{name}_sum{sep} {}", h.sum);
             let _ = writeln!(out, "{name}_max{sep} {}", h.max);
@@ -183,47 +198,30 @@ impl ObsSnapshot {
             } else {
                 format!(",{labels}")
             };
-            let _ = writeln!(out, "{name}{{quantile=\"0.5\"{q}}} {}", h.p50);
-            let _ = writeln!(out, "{name}{{quantile=\"0.9\"{q}}} {}", h.p90);
-            let _ = writeln!(out, "{name}{{quantile=\"0.99\"{q}}} {}", h.p99);
+            for (quantile, q_val) in [("0.5", 0.50), ("0.9", 0.90), ("0.99", 0.99)] {
+                let _ = writeln!(
+                    out,
+                    "{name}{{quantile=\"{quantile}\"{q}}} {}",
+                    h.percentile(q_val)
+                );
+            }
         };
 
-        emit("strip_queue_us", "", &self.queue_us);
-        emit("strip_lock_wait_us", "", &self.lock_wait_us);
-        emit(
-            "strip_lock_wait_us_by",
-            "granularity=\"table\"",
-            &self.lock_wait_table_us,
-        );
-        emit(
-            "strip_lock_wait_us_by",
-            "granularity=\"key\"",
-            &self.lock_wait_key_us,
-        );
-        emit("strip_wal_us", "", &self.wal_us);
-        emit("strip_plan_compile_us", "", &self.plan_compile_us);
-        let mut skipped: Vec<String> = Vec::new();
-        for (kind, h) in &self.exec_us {
-            if !prom_label_valid(kind) {
-                skipped.push(kind.clone());
-                continue;
-            }
-            emit(
-                "strip_exec_us",
-                &format!("kind=\"{}\"", prom_escape(kind)),
-                h,
-            );
+        for (n, h) in HISTS.iter().zip(&self.hists) {
+            emit(n.prom, n.prom_label, h);
         }
-        for (table, h) in &self.staleness {
-            if !prom_label_valid(table) {
-                skipped.push(table.clone());
-                continue;
+        let mut skipped = 0usize;
+        for (name, label, family) in [
+            ("strip_exec_us", "kind", &self.exec_us),
+            ("strip_staleness_us", "table", &self.staleness),
+        ] {
+            for (value, h) in family {
+                if !prom_label_valid(value) {
+                    skipped += 1;
+                    continue;
+                }
+                emit(name, &format!("{label}=\"{}\"", prom_escape(value)), h);
             }
-            emit(
-                "strip_staleness_us",
-                &format!("table=\"{}\"", prom_escape(table)),
-                h,
-            );
         }
         let _ = writeln!(out, "# TYPE strip_plan_choices_total counter");
         let _ = writeln!(out, "strip_plan_choices_total {}", self.plan_choices);
@@ -238,7 +236,7 @@ impl ObsSnapshot {
         let _ = writeln!(out, "# TYPE strip_plan_misestimate_factor gauge");
         for m in &self.plan_misestimates {
             if !prom_label_valid(&m.choice) {
-                skipped.push(m.choice.clone());
+                skipped += 1;
                 continue;
             }
             let _ = writeln!(
@@ -280,7 +278,7 @@ impl ObsSnapshot {
         let _ = writeln!(out, "# TYPE strip_mem_table_hwm_bytes gauge");
         for t in &self.memory.tables {
             if !prom_label_valid(&t.table) {
-                skipped.push(t.table.clone());
+                skipped += 1;
                 continue;
             }
             let l = prom_escape(&t.table);
@@ -330,11 +328,10 @@ impl ObsSnapshot {
                 }
             );
         }
-        if !skipped.is_empty() {
+        if skipped > 0 {
             let _ = writeln!(
                 out,
-                "# {} series skipped: label value not representable in the exposition format",
-                skipped.len()
+                "# {skipped} series skipped: label value not representable in the exposition format"
             );
         }
         out
@@ -366,8 +363,8 @@ impl ObsSnapshot {
                     "  {:<24} {:>8} {:>12} {:>12} {:>12}",
                     table,
                     h.count,
-                    fmt_us(h.mean as u64),
-                    fmt_us(h.p99),
+                    fmt_us(h.mean() as u64),
+                    fmt_us(h.percentile(0.99)),
                     fmt_us(h.max)
                 );
             }
@@ -379,32 +376,22 @@ impl ObsSnapshot {
             "  {:<28} {:>8} {:>12} {:>12} {:>12}",
             "metric", "n", "mean", "p99", "max"
         );
-        for (name, h) in [
-            ("queue_us", &self.queue_us),
-            ("lock_wait_us", &self.lock_wait_us),
-            ("lock_wait_us[table]", &self.lock_wait_table_us),
-            ("lock_wait_us[key]", &self.lock_wait_key_us),
-            ("wal_us", &self.wal_us),
-            ("plan_compile_us", &self.plan_compile_us),
-        ] {
+        let fixed = HISTS
+            .iter()
+            .zip(&self.hists)
+            .map(|(n, h)| (n.table.to_string(), h));
+        let exec = self
+            .exec_us
+            .iter()
+            .map(|(kind, h)| (format!("exec[{kind}]"), h));
+        for (name, h) in fixed.chain(exec) {
             let _ = writeln!(
                 out,
                 "  {:<28} {:>8} {:>12} {:>12} {:>12}",
                 name,
                 h.count,
-                fmt_us(h.mean as u64),
-                fmt_us(h.p99),
-                fmt_us(h.max)
-            );
-        }
-        for (kind, h) in &self.exec_us {
-            let _ = writeln!(
-                out,
-                "  {:<28} {:>8} {:>12} {:>12} {:>12}",
-                format!("exec[{kind}]"),
-                h.count,
-                fmt_us(h.mean as u64),
-                fmt_us(h.p99),
+                fmt_us(h.mean() as u64),
+                fmt_us(h.percentile(0.99)),
                 fmt_us(h.max)
             );
         }
@@ -593,32 +580,6 @@ pub fn fmt_bytes(bytes: u64) -> String {
 // Windowed telemetry exporters
 // ---------------------------------------------------------------------------
 
-fn frame_hist_json(f: &HistFrame) -> String {
-    let buckets: Vec<String> = f
-        .buckets
-        .iter()
-        .map(|&(k, n)| format!("[{},{n}]", bucket_hi(k)))
-        .collect();
-    format!(
-        "{{\"count\":{},\"sum\":{},\"max\":{},\"mean\":{},\"p50\":{},\"p99\":{},\"buckets\":[{}]}}",
-        f.count,
-        f.sum,
-        f.max,
-        json_f64(f.mean()),
-        f.percentile(0.50),
-        f.percentile(0.99),
-        buckets.join(",")
-    )
-}
-
-fn named_frames_json(items: &[(String, HistFrame)]) -> String {
-    let fields: Vec<String> = items
-        .iter()
-        .map(|(k, f)| format!("\"{}\":{}", json_escape(k), frame_hist_json(f)))
-        .collect();
-    format!("{{{}}}", fields.join(","))
-}
-
 /// Serialise a hot-entry list as a JSON array.
 pub fn hot_json(entries: &[HotEntry]) -> String {
     let items: Vec<String> = entries
@@ -654,7 +615,7 @@ impl WindowFrame {
             .collect();
         let class_delta: Vec<String> = self.mem.class_delta.iter().map(|d| d.to_string()).collect();
         format!(
-            "{{\"index\":{},\"start_us\":{},\"end_us\":{},\"open\":{},\"tasks_run\":{},\"busy_us\":{},\"events_traced\":{},\"plan_choices\":{},\"queue_us\":{},\"lock_wait_us\":{},\"wal_us\":{},\"plan_compile_us\":{},\"exec_us\":{},\"staleness_us\":{},\"slo\":[{}],\"hot\":{},\"mem\":{{\"end_bytes\":{},\"delta_bytes\":{},\"class_delta\":[{}]}}}}",
+            "{{\"index\":{},\"start_us\":{},\"end_us\":{},\"open\":{},\"tasks_run\":{},\"busy_us\":{},\"events_traced\":{},\"plan_choices\":{},{},\"exec_us\":{},\"staleness_us\":{},\"slo\":[{}],\"hot\":{},\"mem\":{{\"end_bytes\":{},\"delta_bytes\":{},\"class_delta\":[{}]}}}}",
             self.index,
             self.start_us,
             self.end_us,
@@ -663,12 +624,9 @@ impl WindowFrame {
             self.busy_us,
             self.events_traced,
             self.plan_choices,
-            frame_hist_json(&self.queue),
-            frame_hist_json(&self.lock_wait),
-            frame_hist_json(&self.wal),
-            frame_hist_json(&self.plan_compile),
-            named_frames_json(&self.exec),
-            named_frames_json(&self.staleness),
+            fixed_hists_json(&self.hists),
+            named_hists_json(&self.exec),
+            named_hists_json(&self.staleness),
             slo.join(","),
             hot_json(&self.hot),
             self.mem.end_bytes,
@@ -698,50 +656,6 @@ impl WindowsSnapshot {
             frames.join(",")
         )
     }
-
-    /// Prometheus gauges for the most recent sealed window (the open window
-    /// is excluded: it is still accumulating).
-    pub fn to_prometheus(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "# TYPE strip_windows_sealed_total counter");
-        let _ = writeln!(out, "strip_windows_sealed_total {}", self.sealed);
-        let last = self.frames.iter().rev().find(|f| !f.open);
-        if let Some(f) = last {
-            let _ = writeln!(out, "# TYPE strip_window_tasks_run gauge");
-            let _ = writeln!(out, "strip_window_tasks_run {}", f.tasks_run);
-            let _ = writeln!(out, "# TYPE strip_window_busy_us gauge");
-            let _ = writeln!(out, "strip_window_busy_us {}", f.busy_us);
-            let _ = writeln!(out, "# TYPE strip_window_staleness_p99_us gauge");
-            for (table, sf) in &f.staleness {
-                if !prom_label_valid(table) {
-                    continue;
-                }
-                let _ = writeln!(
-                    out,
-                    "strip_window_staleness_p99_us{{table=\"{}\"}} {}",
-                    prom_escape(table),
-                    sf.percentile(0.99)
-                );
-            }
-            let _ = writeln!(out, "# TYPE strip_window_mem_end_bytes gauge");
-            let _ = writeln!(out, "strip_window_mem_end_bytes {}", f.mem.end_bytes);
-            let _ = writeln!(out, "# TYPE strip_window_mem_delta_bytes gauge");
-            let _ = writeln!(out, "strip_window_mem_delta_bytes {}", f.mem.delta_bytes);
-            let _ = writeln!(out, "# TYPE strip_window_hot_wait_us gauge");
-            for e in &f.hot {
-                if !prom_label_valid(&e.resource) {
-                    continue;
-                }
-                let _ = writeln!(
-                    out,
-                    "strip_window_hot_wait_us{{resource=\"{}\"}} {}",
-                    prom_escape(&e.resource),
-                    e.wait_us
-                );
-            }
-        }
-        out
-    }
 }
 
 impl SloReport {
@@ -754,7 +668,7 @@ impl SloReport {
                     "{{\"table\":\"{}\",\"bound_us\":{},\"budget_pct\":{},\"windows_evaluated\":{},\"windows_violated\":{},\"worst_p99_us\":{},\"compliance_pct\":{},\"burn_short\":{},\"burn_long\":{},\"alert\":\"{}\",\"met\":{}}}",
                     json_escape(&t.table),
                     t.bound_us,
-                    json_f64(t.budget_pct),
+                    json_f64(DEFAULT_BUDGET_PCT),
                     t.windows_evaluated,
                     t.windows_violated,
                     t.worst_p99_us,
@@ -767,31 +681,6 @@ impl SloReport {
             })
             .collect();
         format!("{{\"tables\":[{}]}}", tables.join(","))
-    }
-
-    pub fn to_prometheus(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "# TYPE strip_slo_compliance_pct gauge");
-        let _ = writeln!(out, "# TYPE strip_slo_burn_short gauge");
-        let _ = writeln!(out, "# TYPE strip_slo_met gauge");
-        for t in &self.tables {
-            if !prom_label_valid(&t.table) {
-                continue;
-            }
-            let l = format!("table=\"{}\"", prom_escape(&t.table));
-            let _ = writeln!(
-                out,
-                "strip_slo_compliance_pct{{{l}}} {}",
-                json_f64(t.compliance_pct)
-            );
-            let _ = writeln!(
-                out,
-                "strip_slo_burn_short{{{l}}} {}",
-                json_f64(t.burn_short)
-            );
-            let _ = writeln!(out, "strip_slo_met{{{l}}} {}", u8::from(t.met));
-        }
-        out
     }
 
     /// Human-readable compliance table (shell `.slo`, strip-top, strip-report).
@@ -882,12 +771,12 @@ pub fn fmt_us(us: u64) -> String {
 mod tests {
     use super::*;
     use crate::sink::ObsSink;
-    use crate::EventKind;
+    use crate::{EventKind, Hist};
 
     fn sample() -> ObsSnapshot {
         let s = ObsSink::new(16);
         s.event(1, 2, EventKind::TxnCommit, "a\"b", 3);
-        s.record_queue(100);
+        s.record(Hist::Queue, 100);
         s.record_exec("update", 172);
         s.record_staleness("comp_prices", 1_500_000);
         s.snapshot()
@@ -917,6 +806,45 @@ mod tests {
             "{p}"
         );
         assert!(p.contains("strip_exec_us_count{kind=\"update\"} 1"), "{p}");
+    }
+
+    #[test]
+    fn prometheus_types_each_family_once_before_its_samples() {
+        let s = ObsSink::new(16);
+        s.record_lock_wait_labeled(true, 30);
+        s.record_lock_wait_labeled(false, 40);
+        s.record_exec("update", 172);
+        s.record_exec("recompute:f", 9_000);
+        s.record_staleness("comp_prices", 100);
+        s.record_staleness("option_prices", 200);
+        let p = s.snapshot().to_prometheus();
+        let mut typed: Vec<&str> = Vec::new();
+        for line in p.lines() {
+            if let Some(rest) = line.strip_prefix("# TYPE ") {
+                let name = rest.split(' ').next().unwrap();
+                assert!(!typed.contains(&name), "second TYPE line for {name}:\n{p}");
+                typed.push(name);
+            } else if !line.starts_with('#') {
+                // A summary's `_count`/`_sum`/`_max` samples belong to it.
+                let metric = line.split(['{', ' ']).next().unwrap();
+                let family = ["_count", "_sum", "_max"]
+                    .iter()
+                    .find_map(|suffix| metric.strip_suffix(suffix))
+                    .filter(|f| typed.contains(f))
+                    .unwrap_or(metric);
+                assert!(
+                    typed.contains(&family),
+                    "sample {line:?} precedes its TYPE line:\n{p}"
+                );
+            }
+        }
+        for family in [
+            "strip_lock_wait_us_by",
+            "strip_exec_us",
+            "strip_staleness_us",
+        ] {
+            assert!(typed.contains(&family), "{family} missing:\n{p}");
+        }
     }
 
     #[test]
@@ -991,9 +919,6 @@ mod tests {
         crate::json::validate(&r.to_json()).unwrap();
         let table = r.render_table();
         assert!(table.contains("MISSED"), "{table}"); // 1 of 2 windows violated >> 1% budget
-        let p = format!("{}{}", w.to_prometheus(), r.to_prometheus());
-        assert!(p.contains("strip_windows_sealed_total 2"), "{p}");
-        assert!(p.contains("strip_slo_met{table=\"comp_prices\"} 0"), "{p}");
 
         let hot = render_hot("hot resources (run)", &s.hot_run(4));
         assert!(hot.contains("stocks#symbol=S00001"), "{hot}");
@@ -1078,9 +1003,6 @@ mod tests {
         let wj = w.to_json(false);
         crate::json::validate(&wj).unwrap();
         assert!(wj.contains("\"mem\":{\"end_bytes\":"), "{wj}");
-        let wp = w.to_prometheus();
-        assert!(wp.contains("strip_window_mem_end_bytes"), "{wp}");
-        assert!(wp.contains("strip_window_mem_delta_bytes"), "{wp}");
     }
 
     #[test]

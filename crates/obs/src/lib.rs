@@ -9,11 +9,12 @@
 //!   covering the transaction lifecycle (submit → release → start →
 //!   commit/abort), rule firing → unique-batch coalescing → action
 //!   execution, lock waits, WAL append/commit, and plan compile/execute;
-//! * log-bucketed (power-of-two µs) [`Histogram`]s for queue time, lock
-//!   wait, WAL latency, plan-compile time, and per-kind execution time;
-//! * a [`StalenessTracker`] recording, per derived table, the lag between a
-//!   base-data commit and the derived commit that absorbs it (max/mean/p99
-//!   — the paper's staleness metric);
+//! * log-bucketed (power-of-two µs) [`Histogram`]s, read out as detached
+//!   [`HistSnapshot`] values: the fixed ones named once in [`HISTS`] (queue
+//!   time, lock wait and its table/key split, WAL latency, plan-compile
+//!   time) and two per-label [`HistFamily`]s — execution time per task
+//!   kind, and, per derived table, the lag between a base-data commit and
+//!   the derived commit that absorbs it (the paper's staleness metric);
 //! * a windowed time-series collector ([`WindowCollector`]) slicing every
 //!   histogram and counter into fixed-width virtual-time [`WindowFrame`]s,
 //!   a per-derived-table staleness-SLO engine with burn-rate alerting, and
@@ -26,7 +27,7 @@
 //!   per-run table (consumed by the `strip-report` binary in `strip-bench`).
 //!
 //! Observability is **always on** by default; the disabled sink
-//! ([`ObsSink::disabled`]) reduces every hook to one relaxed atomic load so
+//! ([`ObsSink::disabled`]) reduces every hook to one branch so
 //! the instrumented hot path stays within noise of an uninstrumented build
 //! (guarded by `crates/txn/tests/obs_overhead.rs`).
 //!
@@ -41,12 +42,11 @@ pub mod lineage;
 pub mod mem;
 pub mod ring;
 pub mod sink;
-pub mod stale;
 pub mod trace;
 pub mod window;
 
 pub use event::{EventKind, Interner, ResolvedEvent, Sym, TraceEvent};
-pub use hist::{HistSummary, Histogram};
+pub use hist::{Hist, HistFamily, HistName, HistSnapshot, Histogram, HISTS, HIST_COUNT};
 pub use lineage::{render_attribution, AttributionSummary, Lineage, PhaseBreakdown, TraceDag};
 pub use mem::{
     MemAlert, MemBudgetReport, MemCum, MemFrame, MemProbe, MemReading, MemoryObserver,
@@ -54,9 +54,8 @@ pub use mem::{
 };
 pub use ring::TraceRing;
 pub use sink::{ObsSink, ObsSnapshot, PlanMisestimate, SnapStats};
-pub use stale::StalenessTracker;
 pub use trace::TraceCtx;
 pub use window::{
-    CumHist, CumSnapshot, HistFrame, HotEntry, SloAlert, SloReport, SloSpec, SloTableReport,
-    SloWindowEval, SpaceSaving, WindowCollector, WindowFrame, WindowsSnapshot,
+    CumSnapshot, HotEntry, SloAlert, SloReport, SloSpec, SloTableReport, SloWindowEval,
+    SpaceSaving, WindowCollector, WindowFrame, WindowsSnapshot,
 };

@@ -57,7 +57,7 @@ impl MemCum {
 }
 
 /// One window's memory movement: the gauge at seal time plus **signed**
-/// deltas (unlike `HistFrame`, bytes can shrink). Gap frames are all-zero
+/// deltas (unlike a histogram delta, bytes can shrink). Gap frames are all-zero
 /// (`end_bytes == 0` there means "not sampled", not "empty heap") so the
 /// telescoping sum of `delta_bytes` over any frame run still equals
 /// `final − initial`.

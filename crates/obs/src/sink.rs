@@ -2,44 +2,38 @@
 //!
 //! One `Arc<ObsSink>` is created per `Strip` instance (or standalone for a
 //! bare `Simulator`) and handed to every layer. Each recording hook first
-//! does a single relaxed load of `enabled`; the disabled sink therefore
+//! checks `enabled`, fixed at construction; the disabled sink therefore
 //! costs one predictable branch on the hot path, which the overhead-guard
 //! test (`crates/txn/tests/obs_overhead.rs`) pins within noise.
 
-use crate::event::{EventKind, Interner, ResolvedEvent, Sym, TraceEvent};
-use crate::hist::{HistSummary, Histogram};
+use crate::event::{EventKind, Interner, ResolvedEvent, TraceEvent};
+use crate::hist::{Hist, HistFamily, HistSnapshot, Histogram, HIST_COUNT};
 use crate::mem::{MemoryObserver, MemorySnapshot};
 use crate::ring::TraceRing;
-use crate::stale::StalenessTracker;
 use crate::trace::TraceCtx;
 use crate::window::{
-    CumHist, CumSnapshot, HotEntry, SloReport, SloSpec, WindowCollector, WindowsSnapshot,
+    CumSnapshot, HotEntry, SloReport, SloSpec, WindowCollector, WindowsSnapshot,
     DEFAULT_WINDOW_CAP, DEFAULT_WINDOW_US,
 };
 use parking_lot::RwLock;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 pub struct ObsSink {
-    enabled: AtomicBool,
+    enabled: bool,
     interner: Interner,
     ring: TraceRing,
-    /// Scheduler queue time: task start − release (virtual µs).
-    queue_us: Histogram,
-    /// Lock-acquisition wait (wall-clock µs; ~0 in single-threaded sim mode).
-    lock_wait_us: Histogram,
-    /// The slice of `lock_wait_us` spent on whole-table (S/X) locks.
-    lock_wait_table_us: Histogram,
-    /// The slice of `lock_wait_us` spent on key resources (`table#col=key`).
-    lock_wait_key_us: Histogram,
-    /// Charged WAL append+fsync cost per durable commit (virtual µs).
-    wal_us: Histogram,
-    /// SQL plan compilation on cache miss (wall-clock µs).
-    plan_compile_us: Histogram,
+    /// The fixed histograms, indexed by [`Hist`].
+    hists: [Histogram; HIST_COUNT],
     /// Per-task-kind charged execution time (virtual µs).
-    exec_us: RwLock<HashMap<String, Arc<Histogram>>>,
-    staleness: StalenessTracker,
+    exec: HistFamily,
+    /// Per-derived-table staleness (virtual µs): the lag between a
+    /// base-data commit and the derived commit that absorbs it. With unique
+    /// rules and `after` batching windows one derived commit may absorb many
+    /// base commits; the lag is measured from the **earliest** merged
+    /// origin, so it is the worst staleness any absorbed update saw.
+    staleness: HistFamily,
     /// Cost-based plan executions observed (one per join-pipeline run).
     plan_choices: AtomicU64,
     /// Sum of planner-estimated joined cardinalities.
@@ -93,17 +87,12 @@ impl ObsSink {
                 * (std::mem::size_of::<TraceEvent>() + std::mem::size_of::<AtomicU64>()) as u64,
         );
         Arc::new(ObsSink {
-            enabled: AtomicBool::new(true),
+            enabled: true,
             interner: Interner::new(),
             ring,
-            queue_us: Histogram::new(),
-            lock_wait_us: Histogram::new(),
-            lock_wait_table_us: Histogram::new(),
-            lock_wait_key_us: Histogram::new(),
-            wal_us: Histogram::new(),
-            plan_compile_us: Histogram::new(),
-            exec_us: RwLock::new(HashMap::new()),
-            staleness: StalenessTracker::new(),
+            hists: Default::default(),
+            exec: HistFamily::default(),
+            staleness: HistFamily::default(),
             plan_choices: AtomicU64::new(0),
             card_est: AtomicU64::new(0),
             card_actual: AtomicU64::new(0),
@@ -120,38 +109,21 @@ impl ObsSink {
         })
     }
 
-    /// A no-op sink: every hook returns after one relaxed atomic load.
+    /// A no-op sink: every hook returns after one branch.
     pub fn disabled() -> Arc<ObsSink> {
-        let s = ObsSink::new(2);
-        s.enabled.store(false, Ordering::Relaxed);
+        let mut s = ObsSink::new(2);
+        Arc::get_mut(&mut s)
+            .expect("a new sink is unshared")
+            .enabled = false;
         s
     }
 
     #[inline]
     pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Relaxed);
-    }
-
-    /// Intern a detail string for reuse across many events.
-    pub fn intern(&self, s: &str) -> Sym {
-        self.interner.intern(s)
+        self.enabled
     }
 
     // ---- event recording ------------------------------------------------
-
-    /// Append a raw event with a pre-interned detail symbol.
-    #[inline]
-    pub fn event_sym(&self, at_us: u64, txn: u64, kind: EventKind, detail: Sym, dur_us: u64) {
-        if !self.is_enabled() {
-            return;
-        }
-        self.ring
-            .push(TraceEvent::new(at_us, txn, kind, detail, dur_us));
-    }
 
     /// Append an event, interning `detail`.
     #[inline]
@@ -190,63 +162,35 @@ impl ObsSink {
 
     // ---- histogram recording --------------------------------------------
 
+    /// Record one observation of `us` µs in fixed histogram `h`. Lock
+    /// waits go through [`ObsSink::record_lock_wait_labeled`] instead.
     #[inline]
-    pub fn record_queue(&self, us: u64) {
+    pub fn record(&self, h: Hist, us: u64) {
         if self.is_enabled() {
-            self.queue_us.record(us);
-        }
-    }
-
-    #[inline]
-    pub fn record_lock_wait(&self, us: u64) {
-        if self.is_enabled() {
-            self.lock_wait_us.record(us);
+            self.hists[h as usize].record(us);
         }
     }
 
     /// Record a lock wait labeled by the granularity of the contended
     /// resource (`key_granular` = key resource vs whole table). The total
-    /// `lock_wait_us` histogram is recorded too, so the labeled pair always
+    /// lock-wait histogram is recorded too, so the labeled pair always
     /// partitions it exactly.
     #[inline]
     pub fn record_lock_wait_labeled(&self, key_granular: bool, us: u64) {
-        if self.is_enabled() {
-            self.lock_wait_us.record(us);
-            if key_granular {
-                self.lock_wait_key_us.record(us);
-            } else {
-                self.lock_wait_table_us.record(us);
-            }
-        }
-    }
-
-    #[inline]
-    pub fn record_wal(&self, us: u64) {
-        if self.is_enabled() {
-            self.wal_us.record(us);
-        }
-    }
-
-    #[inline]
-    pub fn record_plan_compile(&self, us: u64) {
-        if self.is_enabled() {
-            self.plan_compile_us.record(us);
-        }
+        self.record(Hist::LockWait, us);
+        let part = if key_granular {
+            Hist::LockWaitKey
+        } else {
+            Hist::LockWaitTable
+        };
+        self.record(part, us);
     }
 
     /// Record charged execution time under the task's kind.
     pub fn record_exec(&self, kind: &str, us: u64) {
-        if !self.is_enabled() {
-            return;
+        if self.is_enabled() {
+            self.exec.record(kind, us);
         }
-        if let Some(h) = self.exec_us.read().get(kind) {
-            h.record(us);
-            return;
-        }
-        let mut w = self.exec_us.write();
-        w.entry(kind.to_string())
-            .or_insert_with(|| Arc::new(Histogram::new()))
-            .record(us);
     }
 
     /// Record derived-table staleness (also traced as a `Staleness` event by
@@ -317,29 +261,17 @@ impl ObsSink {
             .tick(now_us, tasks_run, busy_us, || self.cum_snapshot());
     }
 
-    /// Cumulative snapshot of every windowed metric (counters and raw
-    /// bucket arrays, not summaries).
+    /// The fixed histograms' current values, indexed by [`Hist`].
+    fn hist_snapshots(&self) -> [HistSnapshot; HIST_COUNT] {
+        std::array::from_fn(|i| self.hists[i].snapshot())
+    }
+
+    /// Cumulative snapshot of every windowed metric.
     fn cum_snapshot(&self) -> CumSnapshot {
-        let mut exec: Vec<(String, CumHist)> = self
-            .exec_us
-            .read()
-            .iter()
-            .map(|(k, h)| (k.clone(), CumHist::capture(h)))
-            .collect();
-        exec.sort_by(|a, b| a.0.cmp(&b.0));
-        let staleness: Vec<(String, CumHist)> = self
-            .staleness
-            .histograms()
-            .into_iter()
-            .map(|(k, h)| (k, CumHist::capture(&h)))
-            .collect();
         CumSnapshot {
-            queue: CumHist::capture(&self.queue_us),
-            lock_wait: CumHist::capture(&self.lock_wait_us),
-            wal: CumHist::capture(&self.wal_us),
-            plan_compile: CumHist::capture(&self.plan_compile_us),
-            exec,
-            staleness,
+            hists: self.hist_snapshots(),
+            exec: self.exec.snapshot(),
+            staleness: self.staleness.snapshot(),
             events_traced: self.ring.pushed(),
             plan_choices: self.plan_choices.load(Ordering::Relaxed),
             tasks_run: 0, // filled by the collector from its tick counters
@@ -448,16 +380,9 @@ impl ObsSink {
     }
 
     /// Declare (or update) a staleness SLO: p99 lag for derived `table`
-    /// must stay ≤ `p99_bound_us`, with the default 1% window error budget.
+    /// must stay ≤ `p99_bound_us`, with the 1% window error budget.
     pub fn declare_slo(&self, table: &str, p99_bound_us: u64) {
-        self.windows
-            .declare_slo(table, p99_bound_us, crate::window::DEFAULT_BUDGET_PCT);
-    }
-
-    /// Declare an SLO with an explicit error budget (percent of evaluated
-    /// windows allowed to violate).
-    pub fn declare_slo_with_budget(&self, table: &str, p99_bound_us: u64, budget_pct: f64) {
-        self.windows.declare_slo(table, p99_bound_us, budget_pct);
+        self.windows.declare_slo(table, p99_bound_us);
     }
 
     /// Registered SLO specs, sorted by table.
@@ -543,28 +468,16 @@ impl ObsSink {
         self.ring.pushed()
     }
 
-    /// Point-in-time summary of every histogram and the staleness tracker.
+    /// Point-in-time copy of every histogram, family and counter.
     pub fn snapshot(&self) -> ObsSnapshot {
-        let mut exec: Vec<(String, HistSummary)> = self
-            .exec_us
-            .read()
-            .iter()
-            .map(|(k, h)| (k.clone(), h.summary()))
-            .collect();
-        exec.sort_by(|a, b| a.0.cmp(&b.0));
         ObsSnapshot {
             enabled: self.is_enabled(),
             events_traced: self.ring.pushed(),
             ring_capacity: self.ring.capacity() as u64,
             memory: self.memory_snapshot(),
-            queue_us: self.queue_us.summary(),
-            lock_wait_us: self.lock_wait_us.summary(),
-            lock_wait_table_us: self.lock_wait_table_us.summary(),
-            lock_wait_key_us: self.lock_wait_key_us.summary(),
-            wal_us: self.wal_us.summary(),
-            plan_compile_us: self.plan_compile_us.summary(),
-            exec_us: exec,
-            staleness: self.staleness.summaries(),
+            hists: self.hist_snapshots(),
+            exec_us: self.exec.snapshot(),
+            staleness: self.staleness.snapshot(),
             plan_choices: self.plan_choices.load(Ordering::Relaxed),
             card_est_sum: self.card_est.load(Ordering::Relaxed),
             card_actual_sum: self.card_actual.load(Ordering::Relaxed),
@@ -631,16 +544,12 @@ pub struct ObsSnapshot {
     /// Resource-accounting snapshot: class gauges, watermarks, per-table
     /// footprints, and the optional budget projection.
     pub memory: MemorySnapshot,
-    pub queue_us: HistSummary,
-    pub lock_wait_us: HistSummary,
-    pub lock_wait_table_us: HistSummary,
-    pub lock_wait_key_us: HistSummary,
-    pub wal_us: HistSummary,
-    pub plan_compile_us: HistSummary,
+    /// The fixed histograms, indexed by [`Hist`].
+    pub hists: [HistSnapshot; HIST_COUNT],
     /// Per task kind, sorted by kind.
-    pub exec_us: Vec<(String, HistSummary)>,
+    pub exec_us: Vec<(String, HistSnapshot)>,
     /// Per derived table, sorted by table.
-    pub staleness: Vec<(String, HistSummary)>,
+    pub staleness: Vec<(String, HistSnapshot)>,
     /// Join-pipeline executions with cardinality feedback.
     pub plan_choices: u64,
     /// Sum of planner-estimated joined cardinalities.
@@ -680,13 +589,14 @@ mod tests {
     fn disabled_sink_records_nothing() {
         let s = ObsSink::disabled();
         s.event(1, 1, EventKind::TxnStart, "x", 0);
-        s.record_queue(10);
+        s.record(Hist::Queue, 10);
+        s.record_lock_wait_labeled(true, 10);
         s.record_exec("update", 172);
         s.record_staleness("comp_prices", 5);
         let snap = s.snapshot();
         assert!(!snap.enabled);
         assert_eq!(snap.events_traced, 0);
-        assert_eq!(snap.queue_us.count, 0);
+        assert!(snap.hists.iter().all(HistSnapshot::is_empty));
         assert!(snap.exec_us.is_empty());
         assert!(snap.staleness.is_empty());
         assert!(s.trace_tail(10).is_empty());
@@ -697,16 +607,17 @@ mod tests {
         let s = ObsSink::new(64);
         s.event(100, 7, EventKind::RuleFire, "comp_rule", 0);
         s.event(200, 7, EventKind::TxnCommit, "", 150);
-        s.record_queue(50);
-        s.record_queue(70);
+        s.record(Hist::Queue, 50);
+        s.record(Hist::Queue, 70);
         s.record_exec("update", 172);
         s.record_exec("update", 172);
         s.record_exec("recompute:f", 9_000);
         s.record_staleness("comp_prices", 2_000_000);
         let snap = s.snapshot();
         assert_eq!(snap.events_traced, 2);
-        assert_eq!(snap.queue_us.count, 2);
-        assert_eq!(snap.queue_us.sum, 120);
+        let queue = &snap.hists[Hist::Queue as usize];
+        assert_eq!(queue.count, 2);
+        assert_eq!(queue.sum, 120);
         assert_eq!(snap.exec_us.len(), 2);
         assert_eq!(snap.exec_us[0].0, "recompute:f");
         assert_eq!(snap.exec_us[1].0, "update");
@@ -718,16 +629,5 @@ mod tests {
         assert_eq!(tail.len(), 2);
         assert_eq!(tail[0].detail, "comp_rule");
         assert_eq!(tail[1].kind, EventKind::TxnCommit);
-    }
-
-    #[test]
-    fn toggle_enabled_at_runtime() {
-        let s = ObsSink::new(8);
-        s.record_queue(1);
-        s.set_enabled(false);
-        s.record_queue(1);
-        s.set_enabled(true);
-        s.record_queue(1);
-        assert_eq!(s.snapshot().queue_us.count, 2);
     }
 }

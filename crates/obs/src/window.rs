@@ -34,7 +34,7 @@
 //! # SLO semantics
 //!
 //! A [`SloSpec`] declares `p99 staleness ≤ bound` for one derived table
-//! with an error budget (default 1% of windows). At each seal, every
+//! with an error budget of 1% of windows. At each seal, every
 //! window with ≥ 1 staleness sample for the table is *evaluated*:
 //! violated iff the window's interpolated p99 exceeds the bound. Windows
 //! with no samples are not evaluated (no traffic ⇒ no verdict).
@@ -53,7 +53,7 @@
 //! entry's overcount is bounded by its recorded `err_us`. One instance per
 //! open window (drained into the sealed frame) plus one run-level instance.
 
-use crate::hist::{percentile_over, Histogram, BUCKETS};
+use crate::hist::{family_since, HistSnapshot, HIST_COUNT};
 use crate::mem::{MemCum, MemFrame};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
@@ -78,143 +78,21 @@ pub const SLOW_BURN: f64 = 6.0;
 // Cumulative snapshots and delta frames
 // ---------------------------------------------------------------------------
 
-/// Point-in-time copy of one histogram's counters.
-#[derive(Debug, Clone)]
-pub struct CumHist {
-    pub count: u64,
-    pub sum: u64,
-    pub max: u64,
-    pub buckets: [u64; BUCKETS],
-}
-
-impl Default for CumHist {
-    fn default() -> Self {
-        CumHist {
-            count: 0,
-            sum: 0,
-            max: 0,
-            buckets: [0; BUCKETS],
-        }
-    }
-}
-
-impl CumHist {
-    pub fn capture(h: &Histogram) -> CumHist {
-        CumHist {
-            count: h.count(),
-            sum: h.sum(),
-            max: h.max(),
-            buckets: h.bucket_counts(),
-        }
-    }
-}
-
 /// Cumulative state of every windowed metric, captured lazily at seal time.
-/// Named maps (`exec`, `staleness`) are sorted by name; names are only ever
+/// Families (`exec`, `staleness`) are sorted by label; labels are only ever
 /// added over a run, never removed.
 #[derive(Debug, Clone, Default)]
 pub struct CumSnapshot {
-    pub queue: CumHist,
-    pub lock_wait: CumHist,
-    pub wal: CumHist,
-    pub plan_compile: CumHist,
-    pub exec: Vec<(String, CumHist)>,
-    pub staleness: Vec<(String, CumHist)>,
+    /// The fixed histograms, indexed by [`crate::Hist`].
+    pub hists: [HistSnapshot; HIST_COUNT],
+    pub exec: Vec<(String, HistSnapshot)>,
+    pub staleness: Vec<(String, HistSnapshot)>,
     pub events_traced: u64,
     pub plan_choices: u64,
     pub tasks_run: u64,
     pub busy_us: u64,
     /// Memory gauge by accounting class (sampled at seal time).
     pub mem: MemCum,
-}
-
-/// Delta of one histogram over one window: sparse `(bucket_index, count)`
-/// pairs ascending by index. `max` is the running watermark (see module
-/// docs), so merging frames takes the max of maxes.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct HistFrame {
-    pub count: u64,
-    pub sum: u64,
-    pub max: u64,
-    pub buckets: Vec<(usize, u64)>,
-}
-
-impl HistFrame {
-    /// Delta from `prev` to `cur` cumulative snapshots of the same histogram.
-    pub fn delta(prev: &CumHist, cur: &CumHist) -> HistFrame {
-        let buckets: Vec<(usize, u64)> = (0..BUCKETS)
-            .filter_map(|k| {
-                let d = cur.buckets[k].saturating_sub(prev.buckets[k]);
-                if d > 0 {
-                    Some((k, d))
-                } else {
-                    None
-                }
-            })
-            .collect();
-        HistFrame {
-            count: cur.count.saturating_sub(prev.count),
-            sum: cur.sum.saturating_sub(prev.sum),
-            max: cur.max,
-            buckets,
-        }
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
-    /// Fold `other` into `self`; frame merging is associative and
-    /// commutative, and merging all frames of a run reproduces the run
-    /// aggregate (modulo ring truncation).
-    pub fn merge(&mut self, other: &HistFrame) {
-        self.count += other.count;
-        self.sum += other.sum;
-        self.max = self.max.max(other.max);
-        let mut merged: Vec<(usize, u64)> =
-            Vec::with_capacity(self.buckets.len() + other.buckets.len());
-        let (mut i, mut j) = (0, 0);
-        while i < self.buckets.len() || j < other.buckets.len() {
-            match (self.buckets.get(i), other.buckets.get(j)) {
-                (Some(&(ka, ca)), Some(&(kb, cb))) => {
-                    if ka == kb {
-                        merged.push((ka, ca + cb));
-                        i += 1;
-                        j += 1;
-                    } else if ka < kb {
-                        merged.push((ka, ca));
-                        i += 1;
-                    } else {
-                        merged.push((kb, cb));
-                        j += 1;
-                    }
-                }
-                (Some(&a), None) => {
-                    merged.push(a);
-                    i += 1;
-                }
-                (None, Some(&b)) => {
-                    merged.push(b);
-                    j += 1;
-                }
-                (None, None) => unreachable!(),
-            }
-        }
-        self.buckets = merged;
-    }
-
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// Interpolated quantile over this frame's bucket deltas.
-    pub fn percentile(&self, q: f64) -> u64 {
-        percentile_over(self.buckets.iter().copied(), self.count, self.max, q)
-    }
 }
 
 /// One sealed (or the open) telemetry window.
@@ -229,12 +107,10 @@ pub struct WindowFrame {
     pub busy_us: u64,
     pub events_traced: u64,
     pub plan_choices: u64,
-    pub queue: HistFrame,
-    pub lock_wait: HistFrame,
-    pub wal: HistFrame,
-    pub plan_compile: HistFrame,
-    pub exec: Vec<(String, HistFrame)>,
-    pub staleness: Vec<(String, HistFrame)>,
+    /// The fixed histograms' deltas, indexed by [`crate::Hist`].
+    pub hists: [HistSnapshot; HIST_COUNT],
+    pub exec: Vec<(String, HistSnapshot)>,
+    pub staleness: Vec<(String, HistSnapshot)>,
     pub slo: Vec<SloWindowEval>,
     pub hot: Vec<HotEntry>,
     /// Signed memory movement over this window (gauge deltas telescope).
@@ -244,38 +120,12 @@ pub struct WindowFrame {
 impl WindowFrame {
     pub fn is_empty(&self) -> bool {
         self.tasks_run == 0
-            && self.queue.is_empty()
-            && self.lock_wait.is_empty()
-            && self.wal.is_empty()
-            && self.plan_compile.is_empty()
+            && self.hists.iter().all(HistSnapshot::is_empty)
             && self.exec.iter().all(|(_, f)| f.is_empty())
             && self.staleness.iter().all(|(_, f)| f.is_empty())
             && self.hot.is_empty()
             && self.mem.is_empty()
     }
-}
-
-/// Delta between two sorted `(name, CumHist)` maps. `cur` is a superset of
-/// `prev` (names are never removed); only non-empty deltas are kept.
-fn named_delta(prev: &[(String, CumHist)], cur: &[(String, CumHist)]) -> Vec<(String, HistFrame)> {
-    let zero = CumHist::default();
-    let mut out = Vec::new();
-    let mut pi = 0usize;
-    for (name, c) in cur {
-        while pi < prev.len() && prev[pi].0.as_str() < name.as_str() {
-            pi += 1;
-        }
-        let p = if pi < prev.len() && prev[pi].0 == *name {
-            &prev[pi].1
-        } else {
-            &zero
-        };
-        let f = HistFrame::delta(p, c);
-        if !f.is_empty() {
-            out.push((name.clone(), f));
-        }
-    }
-    out
 }
 
 // ---------------------------------------------------------------------------
@@ -352,10 +202,6 @@ impl SpaceSaving {
         v
     }
 
-    pub fn total_observed(&self) -> u64 {
-        self.entries.iter().map(|e| e.wait_us - e.err_us).sum()
-    }
-
     pub fn clear(&mut self) {
         self.entries.clear();
     }
@@ -370,15 +216,14 @@ impl SpaceSaving {
 // ---------------------------------------------------------------------------
 
 /// Per-derived-table staleness objective: `p99 lag ≤ p99_bound_us`, with an
-/// error budget of `budget_pct` percent of evaluated windows.
+/// error budget of [`DEFAULT_BUDGET_PCT`] percent of evaluated windows.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SloSpec {
     pub table: String,
     pub p99_bound_us: u64,
-    pub budget_pct: f64,
 }
 
-/// Default error budget: 1% of evaluated windows may violate.
+/// Error budget of every SLO: 1% of evaluated windows may violate.
 pub const DEFAULT_BUDGET_PCT: f64 = 1.0;
 
 /// One window's verdict for one table (only windows with samples are
@@ -414,7 +259,6 @@ impl SloAlert {
 pub struct SloTableReport {
     pub table: String,
     pub bound_us: u64,
-    pub budget_pct: f64,
     pub windows_evaluated: u64,
     pub windows_violated: u64,
     pub worst_p99_us: u64,
@@ -441,7 +285,7 @@ struct SloTotals {
 }
 
 /// Evaluate every spec against one window's staleness deltas.
-fn eval_slo(specs: &[SloSpec], staleness: &[(String, HistFrame)]) -> Vec<SloWindowEval> {
+fn eval_slo(specs: &[SloSpec], staleness: &[(String, HistSnapshot)]) -> Vec<SloWindowEval> {
     let mut out = Vec::new();
     for spec in specs {
         if let Some((_, f)) = staleness.iter().find(|(t, _)| *t == spec.table) {
@@ -530,11 +374,10 @@ impl WindowCollector {
     }
 
     /// Register (or update) a staleness SLO for `table`.
-    pub fn declare_slo(&self, table: &str, p99_bound_us: u64, budget_pct: f64) {
+    pub fn declare_slo(&self, table: &str, p99_bound_us: u64) {
         let mut inner = self.inner.lock();
         if let Some(i) = inner.specs.iter().position(|s| s.table == table) {
             inner.specs[i].p99_bound_us = p99_bound_us;
-            inner.specs[i].budget_pct = budget_pct;
             return;
         }
         let at = inner
@@ -546,7 +389,6 @@ impl WindowCollector {
             SloSpec {
                 table: table.to_string(),
                 p99_bound_us,
-                budget_pct,
             },
         );
         inner.totals.insert(at, SloTotals::default());
@@ -602,7 +444,7 @@ impl WindowCollector {
         // Windows fully elapsed: the first carries the whole delta since
         // the last seal, the rest are empty gap windows.
         let gap = (now_us - inner.cur_start) / self.window_us;
-        let first = self.build_frame(&mut inner, &cum, 0, false);
+        let first = self.build_frame(&mut inner, &cum, false);
         inner.push_frame(first, self.capacity);
         // Large idle jumps would seal millions of empty frames; materialize
         // only the newest `capacity` (the ring would evict the rest anyway)
@@ -617,20 +459,7 @@ impl WindowCollector {
                 index: idx,
                 start_us: idx * self.window_us,
                 end_us: (idx + 1) * self.window_us,
-                open: false,
-                tasks_run: 0,
-                busy_us: 0,
-                events_traced: 0,
-                plan_choices: 0,
-                queue: HistFrame::default(),
-                lock_wait: HistFrame::default(),
-                wal: HistFrame::default(),
-                plan_compile: HistFrame::default(),
-                exec: Vec::new(),
-                staleness: Vec::new(),
-                slo: Vec::new(),
-                hot: Vec::new(),
-                mem: MemFrame::default(),
+                ..WindowFrame::default()
             };
             inner.push_frame(frame, self.capacity);
         }
@@ -641,18 +470,11 @@ impl WindowCollector {
             .store(inner.cur_start + self.window_us, Ordering::Relaxed);
     }
 
-    /// Build the open window's frame from `cum`. `extra_idx` offsets the
-    /// index (always 0 today). When `transient` the SLO totals are left
-    /// untouched (snapshot of the open window); at seal they accumulate.
-    fn build_frame(
-        &self,
-        inner: &mut WinInner,
-        cum: &CumSnapshot,
-        extra_idx: u64,
-        transient: bool,
-    ) -> WindowFrame {
-        let idx = inner.cur_index + extra_idx;
-        let staleness = named_delta(&inner.last.staleness, &cum.staleness);
+    /// Build the open window's frame from `cum`. When `transient` the SLO
+    /// totals are left untouched (snapshot of the open window); at seal
+    /// they accumulate.
+    fn build_frame(&self, inner: &mut WinInner, cum: &CumSnapshot, transient: bool) -> WindowFrame {
+        let staleness = family_since(&cum.staleness, &inner.last.staleness);
         let slo = eval_slo(&inner.specs, &staleness);
         if !transient {
             for ev in &slo {
@@ -673,7 +495,7 @@ impl WindowCollector {
             top
         };
         WindowFrame {
-            index: idx,
+            index: inner.cur_index,
             start_us: inner.cur_start,
             end_us: inner.cur_start + self.window_us,
             open: transient,
@@ -681,11 +503,8 @@ impl WindowCollector {
             busy_us: cum.busy_us.saturating_sub(inner.last.busy_us),
             events_traced: cum.events_traced.saturating_sub(inner.last.events_traced),
             plan_choices: cum.plan_choices.saturating_sub(inner.last.plan_choices),
-            queue: HistFrame::delta(&inner.last.queue, &cum.queue),
-            lock_wait: HistFrame::delta(&inner.last.lock_wait, &cum.lock_wait),
-            wal: HistFrame::delta(&inner.last.wal, &cum.wal),
-            plan_compile: HistFrame::delta(&inner.last.plan_compile, &cum.plan_compile),
-            exec: named_delta(&inner.last.exec, &cum.exec),
+            hists: std::array::from_fn(|i| cum.hists[i].since(&inner.last.hists[i])),
+            exec: family_since(&cum.exec, &inner.last.exec),
             staleness,
             slo,
             hot,
@@ -699,7 +518,7 @@ impl WindowCollector {
         cum.tasks_run = tasks;
         cum.busy_us = busy;
         let mut inner = self.inner.lock();
-        let open = self.build_frame(&mut inner, &cum, 0, true);
+        let open = self.build_frame(&mut inner, &cum, true);
         let mut frames: Vec<WindowFrame> = inner.frames.iter().cloned().collect();
         frames.push(open);
         WindowsSnapshot {
@@ -718,7 +537,7 @@ impl WindowCollector {
         cum.tasks_run = tasks;
         cum.busy_us = busy;
         let mut inner = self.inner.lock();
-        let open = self.build_frame(&mut inner, &cum, 0, true);
+        let open = self.build_frame(&mut inner, &cum, true);
         let mut tables = Vec::new();
         for (i, spec) in inner.specs.iter().enumerate() {
             let mut t = inner.totals[i];
@@ -746,7 +565,7 @@ impl WindowCollector {
                     return 0.0;
                 }
                 let frac = bad as f64 / considered as f64;
-                frac / (spec.budget_pct / 100.0)
+                frac / (DEFAULT_BUDGET_PCT / 100.0)
             };
             let burn_short = burn(BURN_SHORT_WINDOWS);
             let burn_long = burn(BURN_LONG_WINDOWS);
@@ -762,11 +581,10 @@ impl WindowCollector {
             } else {
                 100.0 * (1.0 - t.violated as f64 / t.evaluated as f64)
             };
-            let met = (t.violated as f64) * 100.0 <= (t.evaluated as f64) * spec.budget_pct;
+            let met = (t.violated as f64) * 100.0 <= (t.evaluated as f64) * DEFAULT_BUDGET_PCT;
             tables.push(SloTableReport {
                 table: spec.table.clone(),
                 bound_us: spec.p99_bound_us,
-                budget_pct: spec.budget_pct,
                 windows_evaluated: t.evaluated,
                 windows_violated: t.violated,
                 worst_p99_us: t.worst_p99_us,
@@ -805,6 +623,8 @@ impl WinInner {
 mod tests {
     use super::*;
 
+    use crate::hist::Histogram;
+
     fn cum_with(staleness: &[(&str, &[u64])]) -> CumSnapshot {
         let mut s = CumSnapshot::default();
         for (name, vals) in staleness {
@@ -812,7 +632,7 @@ mod tests {
             for v in *vals {
                 h.record(*v);
             }
-            s.staleness.push((name.to_string(), CumHist::capture(&h)));
+            s.staleness.push((name.to_string(), h.snapshot()));
         }
         s.staleness.sort_by(|a, b| a.0.cmp(&b.0));
         s
@@ -824,19 +644,18 @@ mod tests {
         for v in [3, 70, 70, 5000] {
             h.record(v);
         }
-        let mid = CumHist::capture(&h);
+        let mid = h.snapshot();
         for v in [9, 70] {
             h.record(v);
         }
-        let end = CumHist::capture(&h);
-        let zero = CumHist::default();
-        let mut a = HistFrame::delta(&zero, &mid);
-        let b = HistFrame::delta(&mid, &end);
+        let end = h.snapshot();
+        let mut a = mid.since(&HistSnapshot::default());
+        let b = end.since(&mid);
         assert_eq!(a.count, 4);
         assert_eq!(b.count, 2);
+        assert_eq!(b.buckets, vec![(4, 1), (7, 1)]);
         a.merge(&b);
-        let full = HistFrame::delta(&zero, &end);
-        assert_eq!(a, full);
+        assert_eq!(a, end);
         assert_eq!(a.max, 5000);
     }
 
@@ -895,7 +714,7 @@ mod tests {
     #[test]
     fn slo_eval_and_report() {
         let c = WindowCollector::new(1000, 16);
-        c.declare_slo("t", 150, DEFAULT_BUDGET_PCT);
+        c.declare_slo("t", 150);
         // Window 0: p99 well under bound (all samples = 100).
         c.tick(1000, 1, 1, || cum_with(&[("t", &[100, 100])]));
         // Window 1 adds two slow samples: p99 over bound.

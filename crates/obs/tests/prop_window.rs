@@ -1,19 +1,19 @@
 //! Property tests for the windowed collector: merging all window frames
 //! (sealed + open) reproduces the run-level aggregates exactly — counts,
-//! sums, maxes, and full bucket arrays, for the core histograms, per-kind
+//! sums, maxes, and full bucket arrays, for every fixed histogram, per-kind
 //! exec, and per-table staleness — and ring overwrite degrades to an
 //! explicitly marked truncation that only ever *under*-counts.
 
 use proptest::prelude::*;
-use strip_obs::hist::bucket_hi;
-use strip_obs::window::HistFrame;
-use strip_obs::{HistSummary, ObsSink, WindowsSnapshot};
+use strip_obs::{Hist, HistSnapshot, ObsSink, WindowsSnapshot, HIST_COUNT};
 
 #[derive(Debug, Clone)]
 enum Op {
     /// Advance the virtual clock by this many µs and tick.
     Advance(u64),
     Queue(u64),
+    /// A lock wait on a key (true) or a whole table (false).
+    LockWait(bool, u64),
     Exec(u8, u64),
     Staleness(u8, u64),
 }
@@ -22,6 +22,7 @@ fn op() -> impl Strategy<Value = Op> {
     prop_oneof![
         (0u64..2500).prop_map(Op::Advance),
         (0u64..100_000).prop_map(Op::Queue),
+        (any::<bool>(), 0u64..100_000).prop_map(|(k, v)| Op::LockWait(k, v)),
         (0u8..3, 0u64..100_000).prop_map(|(k, v)| Op::Exec(k, v)),
         (0u8..2, 0u64..10_000_000).prop_map(|(t, v)| Op::Staleness(t, v)),
     ]
@@ -61,7 +62,8 @@ fn run(ops: &[Op], window_cap: usize) -> (std::sync::Arc<ObsSink>, WindowsSnapsh
                 busy += dt;
                 sink.window_tick(now, tasks, busy);
             }
-            Op::Queue(v) => sink.record_queue(*v),
+            Op::Queue(v) => sink.record(Hist::Queue, *v),
+            Op::LockWait(key, v) => sink.record_lock_wait_labeled(*key, *v),
             Op::Exec(k, v) => sink.record_exec(KINDS[*k as usize], *v),
             Op::Staleness(t, v) => sink.record_staleness(TABLES[*t as usize], *v),
         }
@@ -71,31 +73,17 @@ fn run(ops: &[Op], window_cap: usize) -> (std::sync::Arc<ObsSink>, WindowsSnapsh
 }
 
 /// Fold one frame-level histogram across every frame of the snapshot.
-fn merged<F>(snap: &WindowsSnapshot, pick: F) -> HistFrame
+fn merged<F>(snap: &WindowsSnapshot, pick: F) -> HistSnapshot
 where
-    F: Fn(&strip_obs::WindowFrame) -> Option<&HistFrame>,
+    F: Fn(&strip_obs::WindowFrame) -> Option<&HistSnapshot>,
 {
-    let mut acc = HistFrame::default();
+    let mut acc = HistSnapshot::default();
     for f in &snap.frames {
         if let Some(h) = pick(f) {
             acc.merge(h);
         }
     }
     acc
-}
-
-/// Exact equality between a merged frame and the run-level summary,
-/// including the full (edge, count) bucket array.
-fn assert_matches(merged: &HistFrame, agg: &HistSummary, what: &str) {
-    assert_eq!(merged.count, agg.count, "{what}: count");
-    assert_eq!(merged.sum, agg.sum, "{what}: sum");
-    assert_eq!(merged.max, agg.max, "{what}: max");
-    let merged_edges: Vec<(u64, u64)> = merged
-        .buckets
-        .iter()
-        .map(|&(k, n)| (bucket_hi(k), n))
-        .collect();
-    assert_eq!(merged_edges, agg.buckets, "{what}: buckets");
 }
 
 proptest! {
@@ -107,14 +95,16 @@ proptest! {
         prop_assert!(!snap.truncated);
         let agg = sink.snapshot();
 
-        assert_matches(&merged(&snap, |f| Some(&f.queue)), &agg.queue_us, "queue");
+        for i in 0..HIST_COUNT {
+            prop_assert_eq!(&merged(&snap, |f| Some(&f.hists[i])), &agg.hists[i]);
+        }
         for kind in KINDS {
             let m = merged(&snap, |f| {
                 f.exec.iter().find(|(k, _)| k == kind).map(|(_, h)| h)
             });
             let a = agg.exec_us.iter().find(|(k, _)| k == kind);
             match a {
-                Some((_, s)) => assert_matches(&m, s, kind),
+                Some((_, s)) => prop_assert_eq!(&m, s),
                 None => prop_assert_eq!(m.count, 0),
             }
         }
@@ -124,7 +114,7 @@ proptest! {
             });
             let a = agg.staleness.iter().find(|(t, _)| t == table);
             match a {
-                Some((_, s)) => assert_matches(&m, s, table),
+                Some((_, s)) => prop_assert_eq!(&m, s),
                 None => prop_assert_eq!(m.count, 0),
             }
         }
@@ -194,14 +184,15 @@ proptest! {
         let (sink, snap) = run(&ops, 2);
         let agg = sink.snapshot();
         prop_assert_eq!(snap.truncated, snap.sealed > 2);
-        let mq = merged(&snap, |f| Some(&f.queue));
-        prop_assert!(mq.count <= agg.queue_us.count);
-        prop_assert!(mq.sum <= agg.queue_us.sum);
+        let queue = Hist::Queue as usize;
+        let (mq, aq) = (merged(&snap, |f| Some(&f.hists[queue])), &agg.hists[queue]);
+        prop_assert!(mq.count <= aq.count);
+        prop_assert!(mq.sum <= aq.sum);
         if !snap.truncated {
-            assert_matches(&mq, &agg.queue_us, "queue (untruncated)");
+            prop_assert_eq!(&mq, aq);
         }
         // The watermark max is always the run max once any frame saw it,
         // and never exceeds it.
-        prop_assert!(mq.max <= agg.queue_us.max);
+        prop_assert!(mq.max <= aq.max);
     }
 }

@@ -12,7 +12,7 @@ use crate::plan::PhysicalPlan;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use strip_obs::{EventKind, ObsSink, TraceCtx};
+use strip_obs::{EventKind, Hist, ObsSink, TraceCtx};
 
 struct CachedPlan {
     epoch: u64,
@@ -109,7 +109,7 @@ impl PlanCache {
         if let Some(obs) = &self.obs {
             let compile_us = t0.elapsed().as_micros() as u64;
             obs.event_ctx(at_us, 0, EventKind::PlanCompile, key, compile_us, ctx, 0);
-            obs.record_plan_compile(compile_us);
+            obs.record(Hist::PlanCompile, compile_us);
         }
         let prev = self.plans.lock().expect("plan cache lock").insert(
             key.to_string(),
@@ -230,7 +230,7 @@ mod tests {
         c.get_or_plan_at("k", 1, 600, || panic!("must not replan"))
             .unwrap();
         let snap = obs.snapshot();
-        assert_eq!(snap.plan_compile_us.count, 1);
+        assert_eq!(snap.hists[Hist::PlanCompile as usize].count, 1);
         let tail = obs.trace_tail(10);
         assert_eq!(tail.len(), 1);
         assert_eq!(tail[0].kind, EventKind::PlanCompile);

@@ -1,11 +1,11 @@
 //! The Volcano-style cost chooser.
 //!
-//! The logical planner ([`crate::logical`]) fixes *what* is joined and in
+//! The logical planner (`logical`) fixes *what* is joined and in
 //! which order; this module chooses *how*: the seed access path (full scan,
 //! index point probe, rbtree range) and, per join step, index nested-loop
 //! probe vs hash join vs plain nested loop. Each candidate operator gets a
 //! cost in virtual microseconds derived from the same calibrated constants
-//! the `strip-txn` [`CostModel`] charges at execution time (Table 1 of the
+//! the `strip-txn` `CostModel` charges at execution time (Table 1 of the
 //! paper plus the engine primitives), fed by the incrementally-maintained
 //! cardinality statistics in `strip-storage` (row counts and per-index
 //! distinct-key estimates). The cheapest candidate wins; ties break toward

@@ -8,7 +8,7 @@
 //!   (including the paper's `SET col += expr`)/`DELETE`.
 //! * [`expr`] — name-resolved expressions, the compiled [`expr::Program`]
 //!   evaluator, and the scalar-function registry.
-//! * [`logical`] — the logical planner: FROM resolution, conjunct
+//! * `logical` — the logical planner: FROM resolution, conjunct
 //!   classification, and mode-independent greedy join ordering.
 //! * [`cost`] — the Volcano-style cost chooser ([`cost::PlannerMode`]):
 //!   scan/probe/range and probe/hash/nested-loop selection priced with the

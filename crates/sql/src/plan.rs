@@ -429,7 +429,7 @@ pub fn plan_query(env: &dyn Env, q: &Query) -> Result<SelectPlan> {
 }
 
 /// Plan a `SELECT` under an explicit [`PlannerMode`]. Logical analysis and
-/// join ordering are mode-independent ([`crate::logical`]); only
+/// join ordering are mode-independent (`logical`); only
 /// access-path and join-operator selection differ ([`crate::cost`]).
 pub fn plan_query_with(env: &dyn Env, q: &Query, mode: PlannerMode) -> Result<SelectPlan> {
     let fns = |name: &str| env.scalar_fn(name);

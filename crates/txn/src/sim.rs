@@ -528,7 +528,7 @@ mod tests {
 
     #[test]
     fn obs_sink_traces_lifecycle_and_histograms() {
-        use strip_obs::ObsSink;
+        use strip_obs::{Hist, ObsSink};
         let obs = ObsSink::new(64);
         let mut sim = Simulator::new(CostModel::paper_calibrated(), Policy::Fifo);
         sim.set_obs(Some(obs.clone()));
@@ -542,8 +542,9 @@ mod tests {
         assert!(kinds.contains(&EventKind::TxnStart));
 
         let snap = obs.snapshot();
-        assert_eq!(snap.queue_us.count, 2);
-        assert_eq!(snap.queue_us.sum, 60); // blocker 0 + u 60
+        let queue = &snap.hists[Hist::Queue as usize];
+        assert_eq!(queue.count, 2);
+        assert_eq!(queue.sum, 60); // blocker 0 + u 60
         assert_eq!(snap.exec_us.len(), 2);
         let u = snap.exec_us.iter().find(|(k, _)| k == "u").unwrap();
         assert_eq!(u.1.count, 1);

@@ -11,7 +11,7 @@ use crate::sim::SimStats;
 use std::ops::DerefMut;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use strip_obs::{EventKind, ObsSink, TraceCtx};
+use strip_obs::{EventKind, Hist, ObsSink, TraceCtx};
 
 /// Task identifier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -231,7 +231,7 @@ pub(crate) fn run_task<R, S: DerefMut<Target = SimStats>>(
             trace,
             0,
         );
-        obs.record_queue(queue_us);
+        obs.record(Hist::Queue, queue_us);
     }
     let (out, charged, spawned) = TaskCtx::metered(model, start_us, id, trace, work);
     let (now_us, mut stats) = finish(charged);

@@ -25,9 +25,9 @@ use strip::core::Strip;
 use strip::shell::{run_shell_input, StatementBuffer};
 
 fn main() {
-    // Windowed telemetry on by default so `.slo` / `.hot` have live data
-    // (1 s virtual-time windows, 512-frame ring — the obs defaults).
-    let db = Strip::builder().telemetry_windows(1_000_000, 512).build();
+    // The default sink's windowed telemetry (1 s virtual-time windows,
+    // 512-frame ring) gives `.slo` / `.hot` live data.
+    let db = Strip::new();
     // A demo action so `create rule ... execute log_changes` does something
     // visible in the shell.
     db.register_function("log_changes", |txn| {

@@ -370,10 +370,7 @@ mod tests {
 
     #[test]
     fn slo_command_reports_declared_tables() {
-        let db = Strip::builder()
-            .telemetry_windows(1_000_000, 64)
-            .staleness_slo("derived", 5_000)
-            .build();
+        let db = Strip::builder().staleness_slo("derived", 5_000).build();
         // One staleness sample over the 5 ms bound -> violated window.
         db.obs().record_staleness("derived", 10_000);
         let out = run_shell_input(&db, ".slo");
@@ -388,7 +385,7 @@ mod tests {
 
     #[test]
     fn hot_command_ranks_contended_resources() {
-        let db = Strip::builder().telemetry_windows(1_000_000, 64).build();
+        let db = Strip::new();
         db.obs().record_contention("stocks#symbol=HOT", 900);
         db.obs().record_contention("stocks#symbol=HOT", 600);
         db.obs().record_contention("stocks/shard3", 200);
