@@ -24,6 +24,28 @@ fn read_your_own_writes_within_a_transaction() {
     .unwrap();
 }
 
+#[test]
+fn strip_query_rejects_non_select_text_before_running_it() {
+    let db = Strip::new();
+    db.execute_script("create table t (k int, v int); insert into t values (1, 1);")
+        .unwrap();
+    let update = "update t set v = 99 where k = 1";
+    let e = db.query(update).unwrap_err();
+    assert_eq!(e.to_string(), format!("not a query: `{update}`"));
+    assert!(db.query("create table u (a int)").is_err());
+    let v = db.query("select v from t where k = 1").unwrap();
+    assert_eq!(
+        v.single("v").unwrap().as_i64(),
+        Some(1),
+        "the update never ran"
+    );
+    assert!(
+        db.catalog().table("u").is_err(),
+        "the table was never created"
+    );
+    assert_eq!(db.locks_held(), 0);
+}
+
 /// `(k, v)` pairs of a `select k, v` result.
 fn kv_pairs(rs: &ResultSet) -> Vec<(i64, i64)> {
     (0..rs.len())
