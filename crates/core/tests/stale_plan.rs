@@ -2,7 +2,7 @@
 //! rule-condition plans.
 //!
 //! Rule create/drop is not schema DDL, so it does not bump the catalog
-//! epoch — a plan cached under the key `rule:<name>:cond:<i>` survives a
+//! epoch — a plan cached under the key `\0rule:<name>:cond:<i>` survives a
 //! drop-and-recreate of the same rule name. If the recreated rule binds a
 //! transition table with a *different arity*, the cached physical plan no
 //! longer matches the data it is run over. The executor must detect the
@@ -73,7 +73,7 @@ fn recreated_rule_on_different_arity_table_replans_stale_condition() {
     let (db, captured) = probe_db();
 
     // 1. Rule on the 3-column table; one firing caches the condition plan
-    //    under `rule:r_stale:cond:0` with `inserted` at arity 4 (a, b, c,
+    //    under `\0rule:r_stale:cond:0` with `inserted` at arity 4 (a, b, c,
     //    execute_order).
     db.execute(
         "create rule r_stale on wide when inserted \

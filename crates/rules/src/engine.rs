@@ -22,6 +22,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use strip_obs::{EventKind, ObsSink, TraceCtx};
 use strip_sql::ast::BindableQuery;
+use strip_sql::cache::INTERNAL_KEY_PREFIX;
 use strip_sql::exec::{execute_select, execute_select_bound, Env, Rel};
 use strip_sql::expr::ScalarFn;
 use strip_sql::plan::{plan_query, PhysicalPlan, RelMeta};
@@ -355,14 +356,15 @@ impl RuleEngine {
                 let rule_env = OverlayEnv::new(env, &overlay);
 
                 // Condition: every query must return ≥ 1 row. Plans are
-                // cached per (rule, clause index) — the rewritten query is
+                // cached per (rule, clause index) under an internal key,
+                // which no SQL text equals — the rewritten query is
                 // deterministic for that key, so the statement text is
                 // implied by the key itself.
                 let cache = self.plan_cache.as_deref();
                 let mut bound: HashMap<String, TempTable> = HashMap::new();
                 let mut condition_holds = true;
                 for (i, bq) in rule.condition.iter().enumerate() {
-                    let key = format!("rule:{}:cond:{i}", rule.name);
+                    let key = format!("{INTERNAL_KEY_PREFIX}rule:{}:cond:{i}", rule.name);
                     let c = cache.map(|c| (c, key.as_str()));
                     if !run_bindable(&rule_env, bq, commit_us, &mut bound, c, ctx)? {
                         condition_holds = false;
@@ -374,7 +376,7 @@ impl RuleEngine {
                 }
                 // Evaluate clause: results only passed to the action.
                 for (i, bq) in rule.evaluate.iter().enumerate() {
-                    let key = format!("rule:{}:eval:{i}", rule.name);
+                    let key = format!("{INTERNAL_KEY_PREFIX}rule:{}:eval:{i}", rule.name);
                     let c = cache.map(|c| (c, key.as_str()));
                     run_bindable(&rule_env, bq, commit_us, &mut bound, c, ctx)?;
                 }
