@@ -5,13 +5,14 @@
 //! * **Index structure** — hash vs red-black-tree point probes (§6.1 offers
 //!   both).
 //! * **Unique dispatch** — per-firing cost of the unique manager's hash
-//!   table (§6.3): coarse vs per-key partitioning vs plain spawn.
+//!   table (§6.3): coarse vs per-key partitioning, opening new payloads vs
+//!   merging into pending ones, vs plain spawn.
 //! * **Scheduling policy** — FIFO vs EDF vs value-density queue ops.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::collections::HashMap;
 use std::hint::black_box;
-use strip_rules::UniqueManager;
+use strip_rules::{Dispatch, UniqueManager};
 use strip_storage::{
     ColumnSource, DataType, IndexKind, NullMeter, Schema, StandardTable, StaticMap, TempTable,
 };
@@ -115,32 +116,54 @@ fn matches_bound(rows: usize, comps: usize) -> HashMap<String, TempTable> {
     m
 }
 
-fn bench_unique_dispatch(c: &mut Criterion) {
-    c.bench_function("unique_dispatch_coarse_12rows", |b| {
+/// Time `dispatch_unique` of 12 rows over 12 composites into a manager
+/// that already holds the firing's pending partitions, so every partition
+/// merges. The pending payloads are started and re-created every 256
+/// merges, which keeps their tables small.
+fn bench_merge(c: &mut Criterion, id: &str, cols: &[String]) {
+    c.bench_function(id, |b| {
         let um = UniqueManager::new();
+        let seed = || {
+            um.dispatch_unique("f", cols, matches_bound(12, 12), &NullMeter, 0)
+                .unwrap()
+        };
+        let mut pending = seed();
+        let mut merges = 0u32;
         b.iter(|| {
-            um.dispatch_unique("f", &[], matches_bound(12, 12), &NullMeter, 0)
+            merges += 1;
+            if merges.is_multiple_of(256) {
+                for d in pending.drain(..) {
+                    if let Dispatch::New(p) = d {
+                        um.begin_action(&p, &NullMeter);
+                    }
+                }
+                pending = seed();
+            }
+            um.dispatch_unique("f", cols, matches_bound(12, 12), &NullMeter, 0)
+                .unwrap()
+        })
+    });
+}
+
+fn bench_unique_dispatch(c: &mut Criterion) {
+    let per_comp = vec!["comp".to_string()];
+    // A fresh manager per firing: every partition opens a new payload.
+    c.bench_function("unique_dispatch_coarse_12rows", |b| {
+        b.iter(|| {
+            UniqueManager::new()
+                .dispatch_unique("f", &[], matches_bound(12, 12), &NullMeter, 0)
                 .unwrap()
         })
     });
     c.bench_function("unique_dispatch_per_comp_12rows", |b| {
-        let um = UniqueManager::new();
-        let cols = vec!["comp".to_string()];
         b.iter(|| {
-            um.dispatch_unique("f", &cols, matches_bound(12, 12), &NullMeter, 0)
+            UniqueManager::new()
+                .dispatch_unique("f", &per_comp, matches_bound(12, 12), &NullMeter, 0)
                 .unwrap()
         })
     });
-    c.bench_function("unique_merge_into_pending_12rows", |b| {
-        let um = UniqueManager::new();
-        // Seed one pending coarse transaction; every iteration merges.
-        um.dispatch_unique("f", &[], matches_bound(12, 12), &NullMeter, 0)
-            .unwrap();
-        b.iter(|| {
-            um.dispatch_unique("f", &[], matches_bound(12, 12), &NullMeter, 0)
-                .unwrap()
-        })
-    });
+    bench_merge(c, "unique_merge_into_pending_12rows", &[]);
+    bench_merge(c, "unique_merge_per_comp_12rows", &per_comp);
     c.bench_function("non_unique_spawn_12rows", |b| {
         let um = UniqueManager::new();
         b.iter(|| black_box(um.dispatch_non_unique("f", matches_bound(12, 12), 0)))

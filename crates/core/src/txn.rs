@@ -1121,8 +1121,9 @@ pub(crate) fn run_task_body(
 }
 
 /// Wrap a rule's action (a [`SpawnAction`]) into an executor task. The task:
-/// 1. fixes the payload's bound tables and removes the unique-hash entry,
-/// 2. snapshots the bound tables into the transaction's overlay,
+/// 1. removes the unique-hash entry and fixes the payload's bound tables,
+/// 2. moves the bound tables out of the payload into the transaction's
+///    overlay,
 /// 3. runs the registered user function in a fresh transaction — or, when
 ///    the engine attached a delta spec (linear rule under
 ///    `MaintenanceMode::Delta`), applies `Δ = Σ w·(new−old)` in place
@@ -1166,7 +1167,7 @@ fn action_task(inner: &Arc<StripInner>, sa: SpawnAction) -> Task {
                     );
                 }
                 let merges = payload.state.lock().merged_firings;
-                let bound = payload.snapshot_bound();
+                let bound = payload.take_bound();
                 let (origin, rw) = (Some(origin_us), TxnKind::ReadWrite);
                 match &delta {
                     Some(spec) => run_txn(&inner, ctx, &task_kind, bound, origin, rw, |txn| {

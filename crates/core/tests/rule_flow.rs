@@ -704,3 +704,158 @@ fn firing_makes_one_batched_plan_invocation_per_transition_table() {
     assert!(db.take_errors().is_empty());
     assert_eq!(rows_seen.load(Ordering::SeqCst), 21, "all rows bound");
 }
+
+#[test]
+fn failed_condition_after_a_unique_dispatch_orphans_no_payload() {
+    // `r1` fires first and would open `f`'s pending transaction; `r2`'s
+    // condition then divides by zero and the commit aborts. No payload may
+    // stay pending without a task: later firings must not merge into one
+    // that never runs.
+    let db = Strip::new();
+    db.execute_script("create table t (k int, v int); insert into t values (1, 0);")
+        .unwrap();
+    let rows_seen = Arc::new(AtomicU64::new(0));
+    let seen = rows_seen.clone();
+    db.register_function("f", move |txn| {
+        seen.fetch_add(txn.bound("changes").unwrap().len() as u64, Ordering::SeqCst);
+        Ok(())
+    });
+    db.register_function("g", |_| Ok(()));
+    db.execute(
+        "create rule r1 on t when updated v \
+         if select new.k as k, new.v as v from new bind as changes \
+         then execute f unique after 1.0 seconds",
+    )
+    .unwrap();
+    db.execute(
+        "create rule r2 on t when updated v \
+         if select 1 / (new.v - 5) as q from new \
+         then execute g",
+    )
+    .unwrap();
+
+    let err = db.execute("update t set v = 5").unwrap_err();
+    assert!(err.to_string().contains("division by zero"), "{err}");
+    assert_eq!(
+        db.pending_unique("f"),
+        0,
+        "the aborted commit left f pending"
+    );
+    db.execute("update t set v = 6").unwrap();
+    assert_eq!(db.pending_unique("f"), 1);
+    db.drain();
+    assert_eq!(db.pending_unique("f"), 0);
+    assert_eq!(
+        rows_seen.load(Ordering::SeqCst),
+        1,
+        "f ran on the good commit's row"
+    );
+    assert!(db.take_errors().is_empty());
+}
+
+#[test]
+fn failed_partition_merge_orphans_no_new_partition() {
+    // One firing of `r2` has partitions k=2 (new) and k=1, which cannot
+    // merge into r1's differently defined pending payload. Dispatch checks
+    // every partition first, so the abort leaves only k=1 pending.
+    let db = Strip::new();
+    db.execute_script(
+        "create table t1 (k int, v float); \
+         create table t2 (k int, v float); \
+         insert into t1 values (1, 1.0); \
+         insert into t2 values (2, 2.0), (1, 1.0);",
+    )
+    .unwrap();
+    db.register_function("f", |_| Ok(()));
+    db.execute(
+        "create rule r1 on t1 when updated v \
+         if select new.k as k, new.v as v from new bind as changes \
+         then execute f unique on k after 1.0 seconds",
+    )
+    .unwrap();
+    db.execute(
+        "create rule r2 on t2 when updated v \
+         if select new.k as k from new bind as changes \
+         then execute f unique on k after 1.0 seconds",
+    )
+    .unwrap();
+
+    db.execute("update t1 set v = 10").unwrap();
+    let only_k1 = vec![vec![Value::Int(1)]];
+    assert_eq!(db.pending_unique_partitions("f"), only_k1);
+    let err = db
+        .txn(|t| {
+            t.exec("update t2 set v = 20 where k = 2", &[])?;
+            t.exec("update t2 set v = 10 where k = 1", &[])?;
+            Ok(())
+        })
+        .unwrap_err();
+    assert!(err.to_string().contains("mismatch"), "{err}");
+    assert_eq!(db.pending_unique_partitions("f"), only_k1);
+    db.drain();
+    assert_eq!(db.pending_unique("f"), 0);
+    assert!(db.take_errors().is_empty());
+}
+
+#[test]
+fn mismatched_rules_in_one_commit_orphan_no_payload() {
+    // `r1` and `r2` fire in the same commit and execute `f` with
+    // differently defined bound tables, so `r2` cannot merge into the
+    // payload `r1` would open. Both are checked before either is applied.
+    let db = Strip::new();
+    db.execute_script("create table t (k int, v float); insert into t values (1, 1.0);")
+        .unwrap();
+    db.register_function("f", |_| Ok(()));
+    for (rule, items) in [("r1", "new.k as k, new.v as v"), ("r2", "new.k as k")] {
+        db.execute(&format!(
+            "create rule {rule} on t when updated v \
+             if select {items} from new bind as changes \
+             then execute f unique after 1.0 seconds"
+        ))
+        .unwrap();
+    }
+    let err = db.execute("update t set v = 2").unwrap_err();
+    assert!(err.to_string().contains("mismatch"), "{err}");
+    assert_eq!(db.pending_unique("f"), 0);
+    assert_eq!(db.pending_tasks(), 0);
+}
+
+#[test]
+fn started_action_holds_the_only_pins_and_frees_them() {
+    // The action takes its payload's bound tables instead of copying them:
+    // while it runs, the superseded S1 version is pinned once per bound
+    // tuple, and once it finishes nothing pins it.
+    let db = figure4_db();
+    type Seen = (Vec<usize>, Vec<std::sync::Weak<strip_storage::RecordData>>);
+    let seen: Arc<parking_lot::Mutex<Seen>> = Arc::default();
+    let s2 = seen.clone();
+    db.register_function("observe", move |txn| {
+        let m = txn.bound("matches").unwrap();
+        let old = [Value::str("S1"), Value::Float(30.0)];
+        let mut s = s2.lock();
+        for t in m.tuples() {
+            for r in t.ptrs().iter().filter(|r| r.values() == old) {
+                s.0.push(Arc::strong_count(r));
+                s.1.push(Arc::downgrade(r));
+            }
+        }
+        Ok(())
+    });
+    db.execute(&format!(
+        "create rule r on stocks when updated price {MATCHES_CONDITION} \
+         then execute observe unique after 1.0 seconds"
+    ))
+    .unwrap();
+
+    // S1 belongs to C1 and C2: two bound tuples point at its old version.
+    db.execute("update stocks set price = 31 where symbol = 'S1'")
+        .unwrap();
+    db.drain();
+    let (counts, weaks) = std::mem::take(&mut *seen.lock());
+    assert_eq!(counts, vec![2, 2], "only the action's two tuples pin it");
+    assert!(
+        weaks.iter().all(|w| w.upgrade().is_none()),
+        "freed after the action"
+    );
+    assert!(db.take_errors().is_empty());
+}

@@ -4,6 +4,7 @@ use crate::error::{Result, RuleError};
 use std::collections::HashMap;
 use std::sync::Arc;
 use strip_sql::ast::{BinOp, BindableQuery, CreateRule, Event, Expr, Query, SelectItem};
+use strip_sql::cache::INTERNAL_KEY_PREFIX;
 
 /// A rule after validation, ready for commit-time processing.
 #[derive(Debug, Clone)]
@@ -16,10 +17,10 @@ pub struct CompiledRule {
     pub events: Vec<Event>,
     /// Condition queries (true iff every query returns ≥ 1 row; vacuously
     /// true when empty).
-    pub condition: Vec<BindableQuery>,
+    pub condition: Vec<RuleQuery>,
     /// Evaluate-clause queries (run only when the condition holds; used to
     /// pass additional bound tables to the action).
-    pub evaluate: Vec<BindableQuery>,
+    pub evaluate: Vec<RuleQuery>,
     /// User function executed by the action transaction.
     pub execute: String,
     /// `None` = not unique; `Some([])` = coarse unique; `Some(cols)` =
@@ -34,6 +35,76 @@ pub struct CompiledRule {
     /// and its p99 lag bound in µs. Registered with the observability sink
     /// when the rule is installed.
     pub slo: Option<(String, u64)>,
+}
+
+/// A condition or evaluate query, prepared once when the rule is created so
+/// that commit-time processing only looks its plan up and runs it.
+#[derive(Debug, Clone)]
+pub struct RuleQuery {
+    /// The query with its bare `commit_time` select items stripped (§2):
+    /// the column is instantiated at bind time with the triggering
+    /// transaction's commit time.
+    pub query: Query,
+    /// Bound-table name, if the result is bound.
+    pub bind_as: Option<String>,
+    /// Output positions where `commit_time` columns are re-inserted.
+    pub commit_time: Vec<usize>,
+    /// True when a wildcard makes those positions unusable; the columns are
+    /// then appended at the end instead.
+    pub commit_time_appended: bool,
+    /// Prepared-plan cache key: internal (no SQL text equals it) and one per
+    /// (rule, clause), so the plan it names is always of `query`.
+    pub plan_key: String,
+}
+
+impl RuleQuery {
+    fn prepare(bq: &BindableQuery, rule: &str, clause: &str, i: usize) -> RuleQuery {
+        let (query, commit_time, commit_time_appended) = extract_commit_time(&bq.query);
+        RuleQuery {
+            query,
+            bind_as: bq.bind_as.clone(),
+            commit_time,
+            commit_time_appended,
+            plan_key: format!("{INTERNAL_KEY_PREFIX}rule:{rule}:{clause}:{i}"),
+        }
+    }
+}
+
+/// Strip bare `commit_time` select items; return the rewritten query, the
+/// output positions where the column should be re-inserted, and whether the
+/// positions are unusable because wildcards expand to an unknown width (in
+/// which case the commit_time columns are appended at the end instead).
+fn extract_commit_time(q: &Query) -> (Query, Vec<usize>, bool) {
+    let mut positions = Vec::new();
+    let mut items = Vec::with_capacity(q.items.len());
+    let mut has_wildcard = false;
+    for (i, item) in q.items.iter().enumerate() {
+        let is_ct = match item {
+            SelectItem::Expr {
+                expr:
+                    Expr::Column {
+                        qualifier: None,
+                        name,
+                    },
+                ..
+            } => name == "commit_time",
+            _ => false,
+        };
+        if matches!(
+            item,
+            SelectItem::Wildcard | SelectItem::QualifiedWildcard(_)
+        ) {
+            has_wildcard = true;
+        }
+        if is_ct {
+            positions.push(i);
+        } else {
+            items.push(item.clone());
+        }
+    }
+    let mut q2 = q.clone();
+    q2.items = items;
+    (q2, positions, has_wildcard)
 }
 
 /// Whether a rule's bound tables are a *linear* view of the transaction's
@@ -223,12 +294,20 @@ impl CompiledRule {
                 ast.name
             )));
         }
+        let name = ast.name.to_ascii_lowercase();
+        let prepare = |clause: &str, queries: &[BindableQuery]| -> Vec<RuleQuery> {
+            queries
+                .iter()
+                .enumerate()
+                .map(|(i, bq)| RuleQuery::prepare(bq, &name, clause, i))
+                .collect()
+        };
         Ok(CompiledRule {
-            name: ast.name.to_ascii_lowercase(),
+            condition: prepare("cond", &ast.condition),
+            evaluate: prepare("eval", &ast.evaluate),
+            name,
             table: ast.table.to_ascii_lowercase(),
             events: ast.events.clone(),
-            condition: ast.condition.clone(),
-            evaluate: ast.evaluate.clone(),
             execute: ast.execute.to_ascii_lowercase(),
             unique: ast.unique.clone(),
             after_us: ast.after_us,
@@ -402,6 +481,37 @@ mod tests {
         assert_eq!(r.unique, Some(vec!["comp".to_string()]));
         assert_eq!(r.after_us, 1_000_000);
         assert_eq!(r.updated_filters(), vec![Some(&["price".to_string()][..])]);
+    }
+
+    #[test]
+    fn clauses_are_prepared_once_at_compile() {
+        let r = compile(
+            "create rule Stamp on t when inserted \
+             if select x, commit_time from inserted bind as m \
+             then evaluate select * from inserted bind as w \
+             execute f",
+        )
+        .unwrap();
+        let (c, e) = (&r.condition[0], &r.evaluate[0]);
+        assert_eq!(
+            c.plan_key,
+            format!("{INTERNAL_KEY_PREFIX}rule:stamp:cond:0")
+        );
+        assert_eq!(
+            e.plan_key,
+            format!("{INTERNAL_KEY_PREFIX}rule:stamp:eval:0")
+        );
+        assert_eq!(
+            c.query.items.len(),
+            1,
+            "commit_time stripped before planning"
+        );
+        assert_eq!(
+            (c.commit_time.as_slice(), c.commit_time_appended),
+            (&[1][..], false)
+        );
+        assert_eq!(c.bind_as.as_deref(), Some("m"));
+        assert!(e.commit_time.is_empty());
     }
 
     #[test]

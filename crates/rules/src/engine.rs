@@ -13,16 +13,14 @@
 //! The engine is executor-agnostic: it reports the actions to spawn through
 //! a callback; `strip-core` wraps them into [`strip_txn::Task`]s.
 
-use crate::def::{CompiledRule, RuleCatalog};
+use crate::def::{CompiledRule, RuleCatalog, RuleQuery};
 use crate::error::{Result, RuleError};
 use crate::transition::{any_column_updated, build_transition_tables, TransitionTables};
-use crate::unique::{ActionPayload, Dispatch, UniqueManager};
+use crate::unique::{ActionPayload, Dispatch, UniqueFiring, UniqueManager};
 use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::sync::Arc;
 use strip_obs::{EventKind, ObsSink, TraceCtx};
-use strip_sql::ast::BindableQuery;
-use strip_sql::cache::INTERNAL_KEY_PREFIX;
 use strip_sql::exec::{execute_select, execute_select_bound, Env, Rel};
 use strip_sql::expr::ScalarFn;
 use strip_sql::plan::{plan_query, PhysicalPlan, RelMeta};
@@ -328,16 +326,16 @@ impl RuleEngine {
         }
 
         let catalog = self.catalog.read();
+        let cache = self.plan_cache.as_deref();
         // Transition tables are built at most once per touched table and
         // shared by all rules on it.
-        let mut transitions: HashMap<String, TransitionTables> = HashMap::new();
-
+        let mut overlays: HashMap<&str, HashMap<String, Arc<TempTable>>> = HashMap::new();
+        // Every triggered rule's clauses run before any firing is
+        // dispatched, so a clause that fails leaves every pending payload
+        // as it was.
+        let mut fired: Vec<(&CompiledRule, HashMap<String, TempTable>)> = Vec::new();
         for table in touched {
-            let rules = catalog.rules_on(table);
-            if rules.is_empty() {
-                continue;
-            }
-            for rule in rules {
+            for rule in catalog.rules_on(table) {
                 if !catalog.is_enabled(&rule.name) {
                     continue;
                 }
@@ -345,28 +343,19 @@ impl RuleEngine {
                 if !self.rule_triggered(rule, log, env, table)? {
                     continue;
                 }
-                // Build (or reuse) transition tables for this table.
-                if !transitions.contains_key(table) {
+                if !overlays.contains_key(table) {
                     let schema = base_schema(env, table)?;
                     let tt = build_transition_tables(log, table, &schema, meter)?;
-                    transitions.insert(table.to_string(), tt);
+                    overlays.insert(table, transition_overlay(&tt));
                 }
-                let tt = &transitions[table];
-                let overlay = transition_overlay(tt);
-                let rule_env = OverlayEnv::new(env, &overlay);
+                let rule_env = OverlayEnv::new(env, &overlays[table]);
 
-                // Condition: every query must return ≥ 1 row. Plans are
-                // cached per (rule, clause index) under an internal key,
-                // which no SQL text equals — the rewritten query is
-                // deterministic for that key, so the statement text is
-                // implied by the key itself.
-                let cache = self.plan_cache.as_deref();
+                // Condition: every query must return ≥ 1 row. Evaluate
+                // clause: results only passed to the action.
                 let mut bound: HashMap<String, TempTable> = HashMap::new();
                 let mut condition_holds = true;
-                for (i, bq) in rule.condition.iter().enumerate() {
-                    let key = format!("{INTERNAL_KEY_PREFIX}rule:{}:cond:{i}", rule.name);
-                    let c = cache.map(|c| (c, key.as_str()));
-                    if !run_bindable(&rule_env, bq, commit_us, &mut bound, c, ctx)? {
+                for q in &rule.condition {
+                    if !run_bindable(&rule_env, q, commit_us, &mut bound, cache, ctx)? {
                         condition_holds = false;
                         break;
                     }
@@ -374,40 +363,85 @@ impl RuleEngine {
                 if !condition_holds {
                     continue;
                 }
-                // Evaluate clause: results only passed to the action.
-                for (i, bq) in rule.evaluate.iter().enumerate() {
-                    let key = format!("{INTERNAL_KEY_PREFIX}rule:{}:eval:{i}", rule.name);
-                    let c = cache.map(|c| (c, key.as_str()));
-                    run_bindable(&rule_env, bq, commit_us, &mut bound, c, ctx)?;
+                for q in &rule.evaluate {
+                    run_bindable(&rule_env, q, commit_us, &mut bound, cache, ctx)?;
                 }
+                fired.push((rule, bound));
+            }
+        }
+        if fired.is_empty() {
+            return Ok(());
+        }
+        self.dispatch(fired, meter, commit_us, txn_id, ctx, spawn)
+    }
 
-                // One firing span per (rule, commit), child of the root.
-                let fire = if ctx.is_none() {
+    /// Dispatch a commit's firings, in rule order. The unique ones go to
+    /// the unique manager as one batch, which checks every partition
+    /// before it changes any payload; only then are events traced and
+    /// actions spawned.
+    fn dispatch(
+        &self,
+        mut fired: Vec<(&CompiledRule, HashMap<String, TempTable>)>,
+        meter: &dyn Meter,
+        commit_us: u64,
+        txn_id: u64,
+        ctx: TraceCtx,
+        spawn: &mut dyn FnMut(SpawnAction),
+    ) -> Result<()> {
+        // One firing span per (rule, commit), child of the root.
+        let fires: Vec<TraceCtx> = fired
+            .iter()
+            .map(|_| {
+                if ctx.is_none() {
                     TraceCtx::NONE
                 } else {
                     ctx.child()
-                };
-                if let Some(obs) = &self.obs {
-                    obs.event_ctx(
-                        commit_us,
-                        txn_id,
-                        EventKind::RuleFire,
-                        &rule.name,
-                        0,
-                        fire,
-                        ctx.span,
-                    );
                 }
-                let release_us = commit_us + rule.after_us;
-                let delta = self.delta_for(rule);
-                match &rule.unique {
-                    None => {
-                        let payload = self.unique.dispatch_non_unique_ctx(
-                            &rule.execute,
-                            bound,
-                            commit_us,
-                            fire,
-                        );
+            })
+            .collect();
+        let batch: Vec<UniqueFiring<'_>> = fired
+            .iter_mut()
+            .zip(&fires)
+            .filter_map(|((rule, bound), &fire)| {
+                Some(UniqueFiring {
+                    func: &rule.execute,
+                    unique_cols: rule.unique.as_deref()?,
+                    bound: std::mem::take(bound),
+                    ctx: fire,
+                })
+            })
+            .collect();
+        let mut dispatched = self
+            .unique
+            .dispatch_batch(batch, meter, commit_us)?
+            .into_iter();
+
+        for ((rule, bound), fire) in fired.into_iter().zip(fires) {
+            if let Some(obs) = &self.obs {
+                obs.event_ctx(
+                    commit_us,
+                    txn_id,
+                    EventKind::RuleFire,
+                    &rule.name,
+                    0,
+                    fire,
+                    ctx.span,
+                );
+            }
+            let release_us = commit_us + rule.after_us;
+            let delta = self.delta_for(rule);
+            let dispatches = match rule.unique {
+                None => {
+                    let payload =
+                        self.unique
+                            .dispatch_non_unique_ctx(&rule.execute, bound, commit_us, fire);
+                    vec![Dispatch::New(payload)]
+                }
+                Some(_) => dispatched.next().expect("one result per unique firing"),
+            };
+            for d in dispatches {
+                match d {
+                    Dispatch::New(payload) => {
                         if let Some(obs) = &self.obs {
                             obs.event_ctx(
                                 commit_us,
@@ -424,60 +458,26 @@ impl RuleEngine {
                             func: rule.execute.clone(),
                             payload,
                             release_us,
-                            delta,
+                            delta: delta.clone(),
                         });
                     }
-                    Some(cols) => {
-                        for d in self.unique.dispatch_unique_ctx(
-                            &rule.execute,
-                            cols,
-                            bound,
-                            meter,
-                            commit_us,
-                            fire,
-                        )? {
-                            match d {
-                                Dispatch::New(payload) => {
-                                    if let Some(obs) = &self.obs {
-                                        obs.event_ctx(
-                                            commit_us,
-                                            txn_id,
-                                            EventKind::ActionDispatch,
-                                            &rule.execute,
-                                            rule.after_us,
-                                            payload.trace_ctx(),
-                                            fire.span,
-                                        );
-                                    }
-                                    spawn(SpawnAction {
-                                        rule: rule.name.clone(),
-                                        func: rule.execute.clone(),
-                                        payload,
-                                        release_us,
-                                        delta: delta.clone(),
-                                    });
-                                }
-                                Dispatch::Merged(payload) => {
-                                    if let Some(obs) = &self.obs {
-                                        // The merging firing's trace adopts
-                                        // the existing action span: this
-                                        // edge is what gives the span a
-                                        // second (third, ...) parent.
-                                        obs.event_ctx(
-                                            commit_us,
-                                            txn_id,
-                                            EventKind::UniqueCoalesce,
-                                            &rule.execute,
-                                            0,
-                                            TraceCtx {
-                                                trace: fire.trace,
-                                                span: payload.span,
-                                            },
-                                            fire.span,
-                                        );
-                                    }
-                                }
-                            }
+                    Dispatch::Merged(payload) => {
+                        if let Some(obs) = &self.obs {
+                            // The merging firing's trace adopts the existing
+                            // action span: this edge is what gives the span
+                            // a second (third, ...) parent.
+                            obs.event_ctx(
+                                commit_us,
+                                txn_id,
+                                EventKind::UniqueCoalesce,
+                                &rule.execute,
+                                0,
+                                TraceCtx {
+                                    trace: fire.trace,
+                                    span: payload.span,
+                                },
+                                fire.span,
+                            );
                         }
                     }
                 }
@@ -541,36 +541,31 @@ fn transition_overlay(tt: &TransitionTables) -> HashMap<String, Arc<TempTable>> 
 /// `commit_time` system column instantiated when requested) is added to
 /// `bound`. Returns whether the query produced at least one row.
 ///
-/// With `cache = Some((cache, key))` the physical plan is fetched from the
-/// shared prepared-plan cache (planning on a miss); a stale plan — the
-/// schema changed mid-epoch in a way the epoch tag didn't capture — is
-/// invalidated and replanned once. `None` plans per call.
+/// With a `cache` the physical plan is fetched from the shared
+/// prepared-plan cache under the clause's key (planning on a miss); a stale
+/// plan — the schema changed mid-epoch in a way the epoch tag didn't
+/// capture — is invalidated and replanned once. `None` plans per call.
 fn run_bindable(
     env: &dyn Env,
-    bq: &BindableQuery,
+    rq: &RuleQuery,
     commit_us: u64,
     bound: &mut HashMap<String, TempTable>,
-    cache: Option<(&PlanCache, &str)>,
+    cache: Option<&PlanCache>,
     ctx: TraceCtx,
 ) -> Result<bool> {
-    // `commit_time` handling (§2): a select item that is the bare column
-    // `commit_time` is stripped before execution and instantiated at
-    // bind-time with the triggering transaction's commit time.
-    let (query, commit_time_positions, append_ct) = extract_commit_time(&bq.query);
-
     let plan_for = |env: &dyn Env| -> strip_sql::Result<Arc<PhysicalPlan>> {
         match cache {
-            Some((c, key)) => c.get_or_plan_ctx(key, env.plan_epoch(), commit_us, ctx, || {
-                plan_query(env, &query).map(PhysicalPlan::Select)
+            Some(c) => c.get_or_plan_ctx(&rq.plan_key, env.plan_epoch(), commit_us, ctx, || {
+                plan_query(env, &rq.query).map(PhysicalPlan::Select)
             }),
-            None => Ok(Arc::new(PhysicalPlan::Select(plan_query(env, &query)?))),
+            None => Ok(Arc::new(PhysicalPlan::Select(plan_query(env, &rq.query)?))),
         }
     };
     let run = |plan: &PhysicalPlan| -> strip_sql::Result<(usize, Option<TempTable>)> {
         let PhysicalPlan::Select(sp) = plan else {
             return Err(strip_sql::SqlError::analyze("rule query is not a SELECT"));
         };
-        match &bq.bind_as {
+        match &rq.bind_as {
             Some(name) => {
                 let t = execute_select_bound(env, sp, &[], name)?;
                 Ok((t.len(), Some(t)))
@@ -582,8 +577,8 @@ fn run_bindable(
     let plan = plan_for(env)?;
     let (rows, table) = match run(plan.as_ref()) {
         Err(e) if e.is_stale() && cache.is_some() => {
-            if let Some((c, key)) = cache {
-                c.invalidate(key);
+            if let Some(c) = cache {
+                c.invalidate(&rq.plan_key);
             }
             let replanned = plan_for(env)?;
             run(replanned.as_ref())?
@@ -591,54 +586,16 @@ fn run_bindable(
         other => other?,
     };
 
-    if let Some(name) = &bq.bind_as {
+    if let Some(name) = &rq.bind_as {
         let t = table.expect("bound execution returns a table");
-        let t = if commit_time_positions.is_empty() {
+        let t = if rq.commit_time.is_empty() {
             t
         } else {
-            add_commit_time_columns(&t, &commit_time_positions, append_ct, commit_us)?
+            add_commit_time_columns(&t, &rq.commit_time, rq.commit_time_appended, commit_us)?
         };
         bound.insert(name.to_ascii_lowercase(), t);
     }
     Ok(rows > 0)
-}
-
-/// Strip bare `commit_time` select items; return the rewritten query, the
-/// output positions where the column should be re-inserted, and whether the
-/// positions are unusable because wildcards expand to an unknown width (in
-/// which case the commit_time columns are appended at the end instead).
-fn extract_commit_time(q: &strip_sql::ast::Query) -> (strip_sql::ast::Query, Vec<usize>, bool) {
-    use strip_sql::ast::{Expr, SelectItem};
-    let mut positions = Vec::new();
-    let mut items = Vec::with_capacity(q.items.len());
-    let mut has_wildcard = false;
-    for (i, item) in q.items.iter().enumerate() {
-        let is_ct = match item {
-            SelectItem::Expr {
-                expr:
-                    Expr::Column {
-                        qualifier: None,
-                        name,
-                    },
-                ..
-            } => name == "commit_time",
-            _ => false,
-        };
-        if matches!(
-            item,
-            SelectItem::Wildcard | SelectItem::QualifiedWildcard(_)
-        ) {
-            has_wildcard = true;
-        }
-        if is_ct {
-            positions.push(i);
-        } else {
-            items.push(item.clone());
-        }
-    }
-    let mut q2 = q.clone();
-    q2.items = items;
-    (q2, positions, has_wildcard)
 }
 
 /// Rebuild a bound table with `commit_time` timestamp columns inserted at

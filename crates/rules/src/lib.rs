@@ -19,10 +19,10 @@ pub mod error;
 pub mod transition;
 pub mod unique;
 
-pub use def::{CompiledRule, DeltaClass, RuleCatalog};
+pub use def::{CompiledRule, DeltaClass, RuleCatalog, RuleQuery};
 pub use engine::{MaintenanceMode, OverlayEnv, RuleEngine, SpawnAction};
 pub use error::{Result, RuleError};
 pub use transition::{
     build_transition_tables, execute_order_column, transition_schema, TransitionTables,
 };
-pub use unique::{ActionPayload, Dispatch, PayloadState, UniqueManager};
+pub use unique::{ActionPayload, Dispatch, PayloadState, UniqueFiring, UniqueManager};

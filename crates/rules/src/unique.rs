@@ -22,6 +22,8 @@
 
 use crate::error::{Result, RuleError};
 use parking_lot::Mutex;
+use std::borrow::Cow;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::Arc;
 use strip_obs::TraceCtx;
@@ -30,7 +32,8 @@ use strip_storage::{Meter, Op, TempTable, Value};
 /// The mutable state of a pending (or running) action transaction.
 #[derive(Debug)]
 pub struct PayloadState {
-    /// Bound tables by name.
+    /// Bound tables by name. Empty once the action has taken them
+    /// ([`ActionPayload::take_bound`]).
     pub bound: HashMap<String, TempTable>,
     /// Once true, the task has started executing: bound tables are frozen
     /// and no further rows may be appended (§2).
@@ -106,13 +109,14 @@ impl ActionPayload {
         self.state.lock().origin_us
     }
 
-    /// Snapshot the bound tables for execution (called by the action task
-    /// after the payload is fixed).
-    pub fn snapshot_bound(&self) -> HashMap<String, Arc<TempTable>> {
-        let st = self.state.lock();
-        st.bound
-            .iter()
-            .map(|(k, v)| (k.clone(), Arc::new(v.clone())))
+    /// Move the bound tables out for execution (called by the action task
+    /// once [`UniqueManager::begin_action`] has fixed the payload). The
+    /// payload keeps no tuples, so the record versions they pin are freed
+    /// when the action's transaction drops its tables.
+    pub fn take_bound(&self) -> HashMap<String, Arc<TempTable>> {
+        std::mem::take(&mut self.state.lock().bound)
+            .into_iter()
+            .map(|(k, v)| (k, Arc::new(v)))
             .collect()
     }
 }
@@ -125,6 +129,19 @@ pub enum Dispatch {
     /// Carrying the payload lets the caller record a coalesce edge from the
     /// merging firing's trace to the payload's action span.
     Merged(Arc<ActionPayload>),
+}
+
+/// One firing of a unique rule, for [`UniqueManager::dispatch_batch`].
+pub struct UniqueFiring<'a> {
+    /// User function the rule executes.
+    pub func: &'a str,
+    /// The rule's `unique on` list (empty = coarse batching).
+    pub unique_cols: &'a [String],
+    /// The firing's bound tables.
+    pub bound: HashMap<String, TempTable>,
+    /// The firing's span: payloads created for it mint their action span
+    /// as its child.
+    pub ctx: TraceCtx,
 }
 
 #[derive(Debug, Default)]
@@ -158,6 +175,9 @@ struct FnTable {
 /// ```
 #[derive(Debug, Default)]
 pub struct UniqueManager {
+    /// Per function, its pending payloads. A payload leaves its table (in
+    /// [`UniqueManager::begin_action`]) before it is fixed, under this lock,
+    /// so every listed payload still accepts merges.
     tables: Mutex<HashMap<String, FnTable>>,
 }
 
@@ -195,13 +215,7 @@ impl UniqueManager {
             .tables
             .lock()
             .get(&func.to_ascii_lowercase())
-            .map(|t| {
-                t.pending
-                    .values()
-                    .filter(|p| !p.state.lock().fixed)
-                    .map(|p| p.unique_key.clone())
-                    .collect()
-            })
+            .map(|t| t.pending.keys().cloned().collect())
             .unwrap_or_default();
         keys.sort_by(|a, b| format!("{a:?}").cmp(&format!("{b:?}")));
         keys
@@ -250,81 +264,56 @@ impl UniqueManager {
         meter: &dyn Meter,
         commit_us: u64,
     ) -> Result<Vec<Dispatch>> {
-        self.dispatch_unique_ctx(func, unique_cols, bound, meter, commit_us, TraceCtx::NONE)
+        let func = func.to_ascii_lowercase();
+        let firing = UniqueFiring {
+            func: &func,
+            unique_cols,
+            bound,
+            ctx: TraceCtx::NONE,
+        };
+        let mut out = self.dispatch_batch(vec![firing], meter, commit_us)?;
+        Ok(out.pop().expect("one result per firing"))
     }
 
-    /// [`UniqueManager::dispatch_unique`] with causal identity: payloads
-    /// created here mint their action span as a child of `ctx`; merged
-    /// partitions return the existing payload so the caller can record the
-    /// extra DAG parent.
-    pub fn dispatch_unique_ctx(
+    /// Dispatch one commit's unique firings, in order; `func` names must be
+    /// lower-case. Returns, per firing, one [`Dispatch`] per partition.
+    /// Payloads created here mint their action span as a child of the
+    /// firing's `ctx`; merged partitions return the existing payload so the
+    /// caller can record the extra DAG parent.
+    ///
+    /// All or nothing: every partition of every firing is checked first —
+    /// its unique columns found, its bound tables defined as those of the
+    /// payload it merges into (pending, or created by an earlier firing of
+    /// the batch) — and only then are rows appended and payloads created.
+    /// On an error no pending payload has changed.
+    pub fn dispatch_batch(
         &self,
-        func: &str,
-        unique_cols: &[String],
-        bound: HashMap<String, TempTable>,
+        firings: Vec<UniqueFiring<'_>>,
         meter: &dyn Meter,
         commit_us: u64,
-        ctx: TraceCtx,
-    ) -> Result<Vec<Dispatch>> {
-        let func = func.to_ascii_lowercase();
-        let partitions = partition_bound_tables_metered(unique_cols, bound, meter)?;
+    ) -> Result<Vec<Vec<Dispatch>>> {
+        let parts: Vec<Partitions> = firings
+            .iter()
+            .map(|f| Partitions::of(f.unique_cols, &f.bound))
+            .collect::<Result<_>>()?;
         let mut tables = self.tables.lock();
-        let fn_table = tables.entry(func.clone()).or_default();
-        let mut out = Vec::with_capacity(partitions.len());
-        for (key, part) in partitions {
-            meter.charge(Op::UniqueHashOp, 1);
-            match fn_table.pending.get(&key) {
-                Some(existing) => {
-                    let mut st = existing.state.lock();
-                    if st.fixed {
-                        // The queued task started running between our lookup
-                        // and now (possible in pool mode): start a fresh one.
-                        drop(st);
-                        let payload =
-                            Arc::new(ActionPayload::new(&func, key.clone(), part, commit_us, ctx));
-                        fn_table.pending.insert(key, payload.clone());
-                        out.push(Dispatch::New(payload));
-                        continue;
-                    }
-                    // Append each bound table (must be defined identically).
-                    for (name, table) in part {
-                        match st.bound.get_mut(&name) {
-                            Some(dst) => {
-                                meter.charge(Op::TempTupleBuild, table.len() as u64);
-                                dst.append_from(&table)
-                                    .map_err(|e| RuleError::BoundTableMismatch(e.to_string()))?;
-                            }
-                            None => {
-                                return Err(RuleError::BoundTableMismatch(format!(
-                                    "bound table `{name}` not present in pending transaction \
-                                     for `{func}`"
-                                )));
-                            }
-                        }
-                    }
-                    st.merged_firings += 1;
-                    st.origin_us = st.origin_us.min(commit_us);
-                    drop(st);
-                    out.push(Dispatch::Merged(existing.clone()));
-                }
-                None => {
-                    let payload =
-                        Arc::new(ActionPayload::new(&func, key.clone(), part, commit_us, ctx));
-                    fn_table.pending.insert(key, payload.clone());
-                    out.push(Dispatch::New(payload));
-                }
+        check_batch(&tables, &firings, &parts)?;
+
+        let mut out = Vec::with_capacity(firings.len());
+        for (firing, parts) in firings.into_iter().zip(&parts) {
+            if !tables.contains_key(firing.func) {
+                tables.insert(firing.func.to_string(), FnTable::default());
             }
+            let pending = &mut tables.get_mut(firing.func).expect("inserted above").pending;
+            out.push(apply_firing(pending, firing, parts, meter, commit_us)?);
         }
         Ok(out)
     }
 
-    /// Called by the action task as its first step: fix the bound tables and
-    /// remove the hash-table entry so later firings start a new transaction.
+    /// Called by the action task as its first step: remove the hash-table
+    /// entry so later firings start a new transaction, and fix the bound
+    /// tables.
     pub fn begin_action(&self, payload: &Arc<ActionPayload>, meter: &dyn Meter) {
-        {
-            let mut st = payload.state.lock();
-            st.fixed = true;
-        }
         let mut tables = self.tables.lock();
         if let Some(fn_table) = tables.get_mut(&payload.func) {
             meter.charge(Op::UniqueHashOp, 1);
@@ -335,11 +324,171 @@ impl UniqueManager {
                 }
             }
         }
+        // Fixed only once unlisted, and under the tables lock: a dispatch
+        // never finds a fixed payload pending.
+        payload.state.lock().fixed = true;
     }
 }
 
-/// Appendix-A partitioning: split a firing's bound tables by the values of
-/// the unique columns.
+/// The check half of [`UniqueManager::dispatch_batch`]: fail if any
+/// partition's bound tables differ from those of the payload it would
+/// merge into. A partition whose key is new to its function becomes the
+/// target of later firings of the batch with the same function and key.
+fn check_batch(
+    tables: &HashMap<String, FnTable>,
+    firings: &[UniqueFiring<'_>],
+    parts: &[Partitions],
+) -> Result<()> {
+    // Only a function that fires twice in one batch can merge into a
+    // payload the batch itself creates.
+    let repeats = firings
+        .iter()
+        .enumerate()
+        .any(|(i, f)| firings[..i].iter().any(|g| g.func == f.func));
+    let mut created: HashMap<(&str, Cow<'_, [Value]>), usize> = HashMap::new();
+    for (i, (firing, parts)) in firings.iter().zip(parts).enumerate() {
+        let pending = tables.get(firing.func).map(|t| &t.pending);
+        for p in 0..parts.len() {
+            let key = parts.key(p);
+            if let Some(payload) = pending.and_then(|m| m.get(&*key)) {
+                check_tables(firing, &payload.state.lock().bound)?;
+            } else if repeats {
+                match created.entry((firing.func, key)) {
+                    Entry::Occupied(e) => check_tables(firing, &firings[*e.get()].bound)?,
+                    Entry::Vacant(e) => {
+                        e.insert(i);
+                    }
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Every bound table of `firing` must exist in `target`, defined
+/// identically (§2: bound tables combined across firings "must be defined
+/// identically").
+fn check_tables(firing: &UniqueFiring<'_>, target: &HashMap<String, TempTable>) -> Result<()> {
+    for (name, table) in &firing.bound {
+        let dst = target.get(name).ok_or_else(|| {
+            RuleError::BoundTableMismatch(format!(
+                "bound table `{name}` not present in pending transaction for `{}`",
+                firing.func
+            ))
+        })?;
+        dst.check_definition(table)
+            .map_err(|e| RuleError::BoundTableMismatch(e.to_string()))?;
+    }
+    Ok(())
+}
+
+/// The apply half of [`UniqueManager::dispatch_batch`] for one checked
+/// firing: append each partition's rows straight into its pending payload,
+/// or give a new payload tables of its own.
+fn apply_firing(
+    pending: &mut HashMap<Vec<Value>, Arc<ActionPayload>>,
+    firing: UniqueFiring<'_>,
+    parts: &Partitions,
+    meter: &dyn Meter,
+    commit_us: u64,
+) -> Result<Vec<Dispatch>> {
+    let UniqueFiring {
+        func,
+        mut bound,
+        ctx,
+        ..
+    } = firing;
+    let mut out = Vec::with_capacity(parts.len());
+    for p in 0..parts.len() {
+        meter.charge(Op::UniqueHashOp, 1);
+        // Appendix-A partitioning builds each unique table's rows anew.
+        let built = parts.unique_rows(p);
+        if built > 0 {
+            meter.charge(Op::TempTupleBuild, built);
+        }
+        let key = parts.key(p);
+        if let Some(existing) = pending.get(&*key) {
+            let mut st = existing.state.lock();
+            for (name, src) in &bound {
+                let dst = st
+                    .bound
+                    .get_mut(name)
+                    .expect("checked: the pending payload has every bound table");
+                // Definitions were checked: these appends cannot fail.
+                match parts.rows(p, name) {
+                    Some(rows) => {
+                        meter.charge(Op::TempTupleBuild, rows.len() as u64);
+                        dst.append_rows(src, rows)?;
+                    }
+                    None => {
+                        meter.charge(Op::TempTupleBuild, src.len() as u64);
+                        dst.append_from(src)?;
+                    }
+                }
+            }
+            st.merged_firings += 1;
+            st.origin_us = st.origin_us.min(commit_us);
+            drop(st);
+            out.push(Dispatch::Merged(existing.clone()));
+        } else {
+            let tables = if parts.len() == 1 {
+                // The only partition holds every row: take the tables whole.
+                std::mem::take(&mut bound)
+            } else {
+                partition_tables(&bound, parts, p)?
+            };
+            let key = key.into_owned();
+            let payload = Arc::new(ActionPayload::new(
+                func,
+                key.clone(),
+                tables,
+                commit_us,
+                ctx,
+            ));
+            pending.insert(key, payload.clone());
+            out.push(Dispatch::New(payload));
+        }
+    }
+    Ok(out)
+}
+
+/// Partition `p`'s own bound tables: its rows of each unique table, sharing
+/// that table's schema and static map, and every other table whole.
+fn partition_tables(
+    bound: &HashMap<String, TempTable>,
+    parts: &Partitions,
+    p: usize,
+) -> Result<HashMap<String, TempTable>> {
+    bound
+        .iter()
+        .map(|(name, src)| {
+            let table = match parts.rows(p, name) {
+                Some(rows) => {
+                    let mut t = src.empty_like();
+                    t.append_rows(src, rows)?;
+                    t
+                }
+                None => src.clone(),
+            };
+            Ok((name.clone(), table))
+        })
+        .collect()
+}
+
+/// One unique table (`T^u`) of a firing, grouped by its unique columns.
+struct UniqueTable {
+    /// Bound-table name.
+    name: String,
+    /// Key position of each of this table's unique columns.
+    key_pos: Vec<usize>,
+    /// Distinct unique-value tuples in first-seen order, each with the
+    /// indices of the rows that carry it, in row order.
+    groups: Vec<(Vec<Value>, Vec<usize>)>,
+}
+
+/// Appendix-A partitioning of one firing's bound tables, as row indices:
+/// the rows themselves stay where they are until a partition is merged or
+/// becomes a payload.
 ///
 /// * `T^u` = bound tables containing at least one unique column; the rest
 ///   (`T^a`) are broadcast whole to every partition.
@@ -349,139 +498,179 @@ impl UniqueManager {
 ///   distinct value tuples over the unique columns it contains.
 /// * A row of a `T^u` table belongs to partition `v` iff its own unique
 ///   columns agree with `v`.
+///
+/// Coarse unique (no unique columns) is the one partition with the empty
+/// key that takes every table whole.
+struct Partitions {
+    /// The `T^u` tables, sorted by name.
+    unique: Vec<UniqueTable>,
+    /// The cross product: `unique.len()` group indices per partition.
+    picks: Vec<usize>,
+    /// Number of partitions.
+    len: usize,
+    /// Number of unique columns.
+    n_cols: usize,
+}
+
+impl Partitions {
+    /// Group `bound` by `unique_cols`. One pass per unique table keeps
+    /// this linear in the bound-table size even when a firing produces
+    /// thousands of partitions (the paper's `unique on option_symbol`
+    /// observation).
+    fn of(unique_cols: &[String], bound: &HashMap<String, TempTable>) -> Result<Partitions> {
+        // Locate each unique column: (table name, column offset), in the
+        // order the columns were declared. Column names must be unique
+        // across bound tables (the paper assumes this in Appendix A).
+        let mut unique: Vec<UniqueTable> = Vec::new();
+        let mut offsets: Vec<Vec<usize>> = Vec::new();
+        for (pos, uc) in unique_cols.iter().enumerate() {
+            let mut found: Option<(&String, usize)> = None;
+            for (name, t) in bound {
+                if let Some(off) = t.schema().index_of(uc) {
+                    if found.is_some() {
+                        return Err(RuleError::UniqueColumn(format!(
+                            "unique column `{uc}` appears in multiple bound tables"
+                        )));
+                    }
+                    found = Some((name, off));
+                }
+            }
+            let (name, off) = found.ok_or_else(|| {
+                RuleError::UniqueColumn(format!(
+                    "unique column `{uc}` not found in any bound table"
+                ))
+            })?;
+            match unique.iter().position(|t| &t.name == name) {
+                Some(i) => {
+                    unique[i].key_pos.push(pos);
+                    offsets[i].push(off);
+                }
+                None => {
+                    unique.push(UniqueTable {
+                        name: name.clone(),
+                        key_pos: vec![pos],
+                        groups: Vec::new(),
+                    });
+                    offsets.push(vec![off]);
+                }
+            }
+        }
+
+        // Group each unique table's rows by its unique-value tuple.
+        for (t, offs) in unique.iter_mut().zip(&offsets) {
+            let table = &bound[&t.name];
+            let mut index: HashMap<Vec<Value>, usize> = HashMap::new();
+            let mut probe: Vec<Value> = Vec::with_capacity(offs.len());
+            for row in 0..table.len() {
+                probe.clear();
+                probe.extend(offs.iter().map(|&off| table.value(row, off).clone()));
+                match index.get(&probe) {
+                    Some(&g) => t.groups[g].1.push(row),
+                    None => {
+                        index.insert(std::mem::take(&mut probe), t.groups.len());
+                        t.groups.push((Vec::new(), vec![row]));
+                    }
+                }
+            }
+            for (tuple, g) in index {
+                t.groups[g].0 = tuple;
+            }
+        }
+        // Stable order across runs.
+        unique.sort_by(|a, b| a.name.cmp(&b.name));
+
+        // Cross product over the tables' groups (usually one table), in
+        // lexicographic order of the group indices.
+        let mut picks: Vec<usize> = Vec::new();
+        let mut len = 1;
+        for (ti, t) in unique.iter().enumerate() {
+            let mut next = Vec::with_capacity(len * t.groups.len() * (ti + 1));
+            for prefix in 0..len {
+                for g in 0..t.groups.len() {
+                    next.extend_from_slice(&picks[prefix * ti..(prefix + 1) * ti]);
+                    next.push(g);
+                }
+            }
+            picks = next;
+            len *= t.groups.len();
+        }
+        Ok(Partitions {
+            unique,
+            picks,
+            len,
+            n_cols: unique_cols.len(),
+        })
+    }
+
+    /// Number of partitions.
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    /// The group partition `p` takes from the `ti`-th unique table.
+    fn group(&self, p: usize, ti: usize) -> &(Vec<Value>, Vec<usize>) {
+        &self.unique[ti].groups[self.picks[p * self.unique.len() + ti]]
+    }
+
+    /// Rows of the unique tables in partition `p`: the tuples
+    /// partitioning builds for it.
+    fn unique_rows(&self, p: usize) -> u64 {
+        (0..self.unique.len())
+            .map(|ti| self.group(p, ti).1.len() as u64)
+            .sum()
+    }
+
+    /// Partition `p`'s unique-column values, in declared order.
+    fn key(&self, p: usize) -> Cow<'_, [Value]> {
+        match self.unique.as_slice() {
+            [] => Cow::Borrowed(&[]),
+            // One unique table holds every unique column, in declared order.
+            [_] => Cow::Borrowed(&self.group(p, 0).0),
+            tables => {
+                let mut key = vec![Value::Null; self.n_cols];
+                for (ti, t) in tables.iter().enumerate() {
+                    let tuple = &self.group(p, ti).0;
+                    for (i, &pos) in t.key_pos.iter().enumerate() {
+                        key[pos] = tuple[i].clone();
+                    }
+                }
+                Cow::Owned(key)
+            }
+        }
+    }
+
+    /// The rows of bound table `name` in partition `p`; `None` for a table
+    /// that every partition takes whole.
+    fn rows(&self, p: usize, name: &str) -> Option<&[usize]> {
+        let ti = self.unique.iter().position(|t| t.name == name)?;
+        Some(&self.group(p, ti).1)
+    }
+}
+
+/// Appendix-A partitioning: split a firing's bound tables by the values of
+/// the unique columns, one set of tables per distinct combination, in the
+/// order dispatch walks them. Tables without a unique column go whole to
+/// every partition.
 #[allow(clippy::type_complexity)]
 pub fn partition_bound_tables(
     unique_cols: &[String],
     bound: HashMap<String, TempTable>,
 ) -> Result<Vec<(Vec<Value>, HashMap<String, TempTable>)>> {
-    partition_bound_tables_metered(unique_cols, bound, &strip_storage::NullMeter)
-}
-
-/// [`partition_bound_tables`] with per-row build work charged to `meter`.
-#[allow(clippy::type_complexity)]
-pub fn partition_bound_tables_metered(
-    unique_cols: &[String],
-    bound: HashMap<String, TempTable>,
-    meter: &dyn Meter,
-) -> Result<Vec<(Vec<Value>, HashMap<String, TempTable>)>> {
-    if unique_cols.is_empty() {
-        // Coarse unique: a single partition keyed by the empty tuple.
-        return Ok(vec![(Vec::new(), bound)]);
-    }
-
-    // Locate each unique column: (table name, column offset), in the order
-    // the columns were declared. Column names must be unique across bound
-    // tables (the paper assumes this in Appendix A).
-    let mut locations: Vec<(String, usize)> = Vec::with_capacity(unique_cols.len());
-    for uc in unique_cols {
-        let mut found: Option<(String, usize)> = None;
-        for (name, t) in &bound {
-            if let Some(off) = t.schema().index_of(uc) {
-                if found.is_some() {
-                    return Err(RuleError::UniqueColumn(format!(
-                        "unique column `{uc}` appears in multiple bound tables"
-                    )));
-                }
-                found = Some((name.clone(), off));
-            }
-        }
-        locations.push(found.ok_or_else(|| {
-            RuleError::UniqueColumn(format!("unique column `{uc}` not found in any bound table"))
-        })?);
-    }
-
-    // Group unique columns by table, preserving their position in the key.
-    let mut by_table: HashMap<String, Vec<(usize, usize)>> = HashMap::new(); // table -> [(key_pos, col_off)]
-    for (pos, (table, off)) in locations.iter().enumerate() {
-        by_table.entry(table.clone()).or_default().push((pos, *off));
-    }
-
-    // One pass per unique table: group row indices by that table's
-    // unique-value tuple, in first-seen order. This keeps dispatch linear
-    // in the bound-table size even when a firing produces thousands of
-    // partitions (the paper's `unique on option_symbol` observation).
-    type Groups = Vec<(Vec<Value>, Vec<usize>)>;
-    let mut table_groups: Vec<(String, Groups)> = Vec::new();
-    for (table, cols) in &by_table {
-        let t = &bound[table];
-        let mut order: Groups = Vec::new();
-        let mut index: HashMap<Vec<Value>, usize> = HashMap::new();
-        for i in 0..t.len() {
-            let tuple: Vec<Value> = cols
-                .iter()
-                .map(|(_, off)| t.value(i, *off).clone())
-                .collect();
-            match index.get(&tuple) {
-                Some(&g) => order[g].1.push(i),
-                None => {
-                    index.insert(tuple.clone(), order.len());
-                    order.push((tuple, vec![i]));
-                }
-            }
-        }
-        table_groups.push((table.clone(), order));
-    }
-    // Stable order across runs.
-    table_groups.sort_by(|a, b| a.0.cmp(&b.0));
-
-    // Cross product over the tables' distinct tuples (usually one table).
-    let mut combos: Vec<Vec<(usize, usize)>> = vec![Vec::new()]; // (table_idx, group_idx)
-    for (ti, (_, groups)) in table_groups.iter().enumerate() {
-        let mut next = Vec::with_capacity(combos.len() * groups.len().max(1));
-        for prefix in &combos {
-            for gi in 0..groups.len() {
-                let mut c = prefix.clone();
-                c.push((ti, gi));
-                next.push(c);
-            }
-        }
-        combos = next;
-    }
-    if combos.len() == 1 && combos[0].is_empty() {
-        // A unique table had no rows: no partitions at all.
-        combos.clear();
-    }
-
-    let mut out = Vec::with_capacity(combos.len());
-    for combo in combos {
-        // Assemble the full key in declared unique-column order.
-        let mut key = vec![Value::Null; unique_cols.len()];
-        for &(ti, gi) in &combo {
-            let (table, groups) = &table_groups[ti];
-            let tuple = &groups[gi].0;
-            for (i, (key_pos, _)) in by_table[table].iter().enumerate() {
-                key[*key_pos] = tuple[i].clone();
-            }
-        }
-        // Build this partition's bound tables.
-        let mut part: HashMap<String, TempTable> = HashMap::with_capacity(bound.len());
-        for &(ti, gi) in &combo {
-            let (table, groups) = &table_groups[ti];
-            let t = &bound[table];
-            let mut filtered =
-                TempTable::new(table.clone(), t.schema().clone(), t.static_map().clone())?;
-            for &i in &groups[gi].1 {
-                meter.charge(Op::TempTupleBuild, 1);
-                let tup = &t.tuples()[i];
-                filtered.push(tup.ptrs().to_vec(), tup.slots().to_vec())?;
-            }
-            part.insert(table.clone(), filtered);
-        }
-        for (name, t) in &bound {
-            if !by_table.contains_key(name) {
-                // T^a: broadcast whole.
-                part.insert(name.clone(), t.clone());
-            }
-        }
-        out.push((key, part));
-    }
-    Ok(out)
+    let parts = Partitions::of(unique_cols, &bound)?;
+    (0..parts.len())
+        .map(|p| {
+            Ok((
+                parts.key(p).into_owned(),
+                partition_tables(&bound, &parts, p)?,
+            ))
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use strip_storage::{DataType, NullMeter, Schema};
+    use strip_storage::{CountingMeter, DataType, NullMeter, Schema};
 
     fn matches_table(rows: &[(&str, f64)]) -> TempTable {
         let schema = Schema::of(&[("comp", DataType::Str), ("diff", DataType::Float)]).into_ref();
@@ -594,6 +783,10 @@ mod tests {
         assert_eq!(st.bound["matches"].len(), 2);
         assert_eq!(st.bound["matches"].value(0, 1).as_f64(), Some(1.0));
         assert_eq!(st.bound["matches"].value(1, 1).as_f64(), Some(5.0));
+        assert_eq!(
+            st.bound["matches"].mem_bytes(),
+            st.bound["matches"].__walk_mem()
+        );
         assert_eq!(st.merged_firings, 2);
         // The staleness origin stays at the earliest merged commit.
         assert_eq!(st.origin_us, 1_000);
@@ -619,20 +812,26 @@ mod tests {
     #[test]
     fn ctx_dispatch_mints_action_span_shared_across_merges() {
         let um = UniqueManager::new();
+        let fire = |bound, ctx| {
+            let firing = UniqueFiring {
+                func: "f",
+                unique_cols: &[],
+                bound,
+                ctx,
+            };
+            let mut d = um.dispatch_batch(vec![firing], &NullMeter, 0).unwrap();
+            d.pop().unwrap().pop().unwrap()
+        };
         let ctx1 = TraceCtx::root();
-        let d1 = um
-            .dispatch_unique_ctx("f", &[], bound_with(&[("C1", 1.0)]), &NullMeter, 0, ctx1)
-            .unwrap();
-        let Dispatch::New(p) = &d1[0] else { panic!() };
+        let Dispatch::New(p) = fire(bound_with(&[("C1", 1.0)]), ctx1) else {
+            panic!()
+        };
         assert_eq!(p.trace, ctx1.trace);
         assert_ne!(p.span, 0);
         // A firing from a *different* trace merges into the SAME action
         // span: that span now has two trace parents (the lineage DAG).
         let ctx2 = TraceCtx::root();
-        let d2 = um
-            .dispatch_unique_ctx("f", &[], bound_with(&[("C2", 2.0)]), &NullMeter, 0, ctx2)
-            .unwrap();
-        let Dispatch::Merged(m) = &d2[0] else {
+        let Dispatch::Merged(m) = fire(bound_with(&[("C2", 2.0)]), ctx2) else {
             panic!()
         };
         assert_eq!(m.span, p.span);
@@ -704,5 +903,170 @@ mod tests {
             .find(|(k, _)| k == &vec![Value::str("p"), Value::Int(1)])
             .unwrap();
         assert_eq!(p1.1["m"].len(), 2);
+    }
+
+    fn aux_table(n: i64) -> TempTable {
+        let schema = Schema::of(&[("k", DataType::Int)]).into_ref();
+        let mut t = TempTable::materialized("aux", schema);
+        for k in 0..n {
+            t.push_row(vec![k.into()]).unwrap();
+        }
+        t
+    }
+
+    /// Per-`Op` counts of one dispatch, on a fresh meter.
+    fn charges(
+        um: &UniqueManager,
+        cols: &[&str],
+        bound: HashMap<String, TempTable>,
+    ) -> Vec<(Op, u64)> {
+        let meter = CountingMeter::new();
+        let cols: Vec<String> = cols.iter().map(|c| c.to_string()).collect();
+        um.dispatch_unique("f", &cols, bound, &meter, 0).unwrap();
+        meter.snapshot().into_iter().collect()
+    }
+
+    #[test]
+    fn dispatch_charges_follow_the_cost_model() {
+        use Op::{TempTupleBuild as Build, UniqueHashOp as Hash};
+        // Coarse: a new payload takes the tables as they are; a merge
+        // appends every row.
+        let um = UniqueManager::new();
+        assert_eq!(
+            charges(&um, &[], bound_with(&[("C1", 1.0), ("C2", 2.0)])),
+            [(Hash, 1)]
+        );
+        let three = bound_with(&[("C1", 1.0), ("C2", 2.0), ("C3", 3.0)]);
+        assert_eq!(charges(&um, &[], three), [(Build, 3), (Hash, 1)]);
+
+        // `unique on comp`: each partition builds its rows; C1 merges (2
+        // rows again), C2 is new.
+        let um = UniqueManager::new();
+        assert_eq!(
+            charges(&um, &["comp"], bound_with(&[("C1", 0.0)])),
+            [(Build, 1), (Hash, 1)]
+        );
+        let mixed = bound_with(&[("C1", 1.0), ("C2", 2.0), ("C1", 3.0)]);
+        assert_eq!(
+            charges(&um, &["comp"], mixed),
+            [(Build, 2 + 2 + 1), (Hash, 2)]
+        );
+
+        // A broadcast (T^a) table is appended whole to every merge, and
+        // built for none.
+        let um = UniqueManager::new();
+        let with_aux = |rows: &[(&str, f64)]| {
+            let mut b = bound_with(rows);
+            b.insert("aux".to_string(), aux_table(2));
+            b
+        };
+        assert_eq!(
+            charges(&um, &["comp"], with_aux(&[("C1", 0.0)])),
+            [(Build, 1), (Hash, 1)]
+        );
+        let mixed = with_aux(&[("C1", 1.0), ("C2", 2.0), ("C1", 3.0)]);
+        assert_eq!(
+            charges(&um, &["comp"], mixed),
+            [(Build, 2 + (2 + 2) + 1), (Hash, 2)]
+        );
+
+        // Starting an action is one hash-table update.
+        let meter = CountingMeter::new();
+        let d = um
+            .dispatch_unique("g", &[], bound_with(&[]), &NullMeter, 0)
+            .unwrap();
+        let Dispatch::New(p) = &d[0] else { panic!() };
+        um.begin_action(p, &meter);
+        assert_eq!(
+            meter.snapshot().into_iter().collect::<Vec<_>>(),
+            [(Hash, 1)]
+        );
+    }
+
+    #[test]
+    fn take_bound_leaves_the_payload_empty() {
+        let um = UniqueManager::new();
+        let d = um
+            .dispatch_unique(
+                "f",
+                &[],
+                bound_with(&[("C1", 1.0), ("C2", 2.0)]),
+                &NullMeter,
+                0,
+            )
+            .unwrap();
+        let Dispatch::New(p) = &d[0] else { panic!() };
+        um.begin_action(p, &NullMeter);
+        let taken = p.take_bound();
+        assert_eq!(taken["matches"].len(), 2);
+        assert!(
+            p.state.lock().bound.is_empty(),
+            "the payload keeps no tuples"
+        );
+        assert!(p.take_bound().is_empty());
+    }
+
+    #[test]
+    fn failed_dispatch_changes_no_payload() {
+        let um = UniqueManager::new();
+        let cols = ["comp".to_string()];
+        let d = um
+            .dispatch_unique("f", &cols, bound_with(&[("C1", 1.0)]), &NullMeter, 0)
+            .unwrap();
+        let Dispatch::New(c1) = &d[0] else { panic!() };
+        // C2 comes first and would be new; C1 then fails to merge a
+        // differently defined `matches`.
+        let schema = Schema::of(&[("comp", DataType::Str)]).into_ref();
+        let mut bad = TempTable::materialized("matches", schema);
+        bad.push_row(vec!["C2".into()]).unwrap();
+        bad.push_row(vec!["C1".into()]).unwrap();
+        let e = um.dispatch_unique(
+            "f",
+            &cols,
+            HashMap::from([("matches".to_string(), bad)]),
+            &NullMeter,
+            9,
+        );
+        assert!(matches!(e, Err(RuleError::BoundTableMismatch(_))));
+        assert_eq!(um.pending_partitions("f"), vec![vec![Value::str("C1")]]);
+        let st = c1.state.lock();
+        assert_eq!(
+            (st.bound["matches"].len(), st.merged_firings, st.origin_us),
+            (1, 1, 0)
+        );
+    }
+
+    #[test]
+    fn batch_checks_firings_against_payloads_it_creates() {
+        // Two firings of one function in one commit: the second would merge
+        // into the payload the first creates, and is defined differently.
+        let um = UniqueManager::new();
+        let schema = Schema::of(&[("comp", DataType::Str)]).into_ref();
+        let mut narrow = TempTable::materialized("matches", schema);
+        narrow.push_row(vec!["C1".into()]).unwrap();
+        let cols = ["comp".to_string()];
+        let firing = |bound| UniqueFiring {
+            func: "f",
+            unique_cols: &cols,
+            bound,
+            ctx: TraceCtx::NONE,
+        };
+        let batch = vec![
+            firing(bound_with(&[("C2", 2.0), ("C1", 1.0)])),
+            firing(HashMap::from([("matches".to_string(), narrow)])),
+        ];
+        let e = um.dispatch_batch(batch, &NullMeter, 0);
+        assert!(matches!(e, Err(RuleError::BoundTableMismatch(_))));
+        assert_eq!(um.pending_count("f"), 0, "nothing applied");
+
+        // Identically defined firings merge within the batch.
+        let batch = vec![
+            firing(bound_with(&[("C1", 1.0)])),
+            firing(bound_with(&[("C1", 2.0)])),
+        ];
+        let out = um.dispatch_batch(batch, &NullMeter, 0).unwrap();
+        assert!(matches!(out[0][0], Dispatch::New(_)));
+        assert!(matches!(out[1][0], Dispatch::Merged(_)));
+        assert_eq!(um.pending_count("f"), 1);
     }
 }

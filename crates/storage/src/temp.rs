@@ -269,26 +269,59 @@ impl TempTable {
         &self.tuples
     }
 
-    /// Append all tuples of `other`. This is the unique-transaction merge
-    /// step (paper §2: "the tuples of the bound tables of the new rule firing
-    /// are appended to those of the bound tables of the currently enqueued
-    /// transaction"). Schemas and static maps must be identical — the paper
-    /// requires bound tables merged across rules to "be defined identically".
-    pub fn append_from(&mut self, other: &TempTable) -> Result<()> {
+    /// An empty table with this table's name, sharing its schema and static
+    /// map (no copy of either).
+    pub fn empty_like(&self) -> TempTable {
+        TempTable {
+            name: self.name.clone(),
+            schema: self.schema.clone(),
+            map: self.map.clone(),
+            tuples: Vec::new(),
+            tuple_bytes: 0,
+        }
+    }
+
+    /// Fail unless `other` could be appended to this table: schemas and
+    /// static maps must be identical — the paper requires bound tables
+    /// merged across rules to "be defined identically".
+    pub fn check_definition(&self, other: &TempTable) -> Result<()> {
         if self.schema != other.schema {
             return Err(StorageError::SchemaMismatch(format!(
                 "cannot merge bound table `{}` {} into `{}` {}",
                 other.name, other.schema, self.name, self.schema
             )));
         }
-        if *self.map != *other.map {
+        if !Arc::ptr_eq(&self.map, &other.map) && *self.map != *other.map {
             return Err(StorageError::SchemaMismatch(format!(
                 "bound tables `{}` and `{}` have different static maps",
                 other.name, self.name
             )));
         }
+        Ok(())
+    }
+
+    /// Append all tuples of `other`. This is the unique-transaction merge
+    /// step (paper §2: "the tuples of the bound tables of the new rule firing
+    /// are appended to those of the bound tables of the currently enqueued
+    /// transaction"), under [`TempTable::check_definition`].
+    pub fn append_from(&mut self, other: &TempTable) -> Result<()> {
+        self.check_definition(other)?;
         self.tuples.extend(other.tuples.iter().cloned());
         self.tuple_bytes += other.tuple_bytes;
+        Ok(())
+    }
+
+    /// Append the tuples of `other` at `rows`, in that order: the merge of
+    /// one `unique on` partition, under the same checks as
+    /// [`TempTable::append_from`].
+    pub fn append_rows(&mut self, other: &TempTable, rows: &[usize]) -> Result<()> {
+        self.check_definition(other)?;
+        self.tuples.reserve(rows.len());
+        for &i in rows {
+            let tuple = other.tuples[i].clone();
+            self.tuple_bytes += tuple_bytes(&tuple);
+            self.tuples.push(tuple);
+        }
         Ok(())
     }
 
@@ -457,6 +490,35 @@ mod tests {
         t3.append_from(&t4).unwrap();
         assert_eq!(t3.len(), 2);
         assert_eq!(t3.value(1, 0).as_i64(), Some(2));
+    }
+
+    #[test]
+    fn append_rows_takes_selected_rows_under_definition_checks() {
+        let s = Schema::of(&[("a", DataType::Int)]).into_ref();
+        let mut src = TempTable::materialized("m", s.clone());
+        for v in [10i64, 20, 30] {
+            src.push_row(vec![v.into()]).unwrap();
+        }
+        let mut part = src.empty_like();
+        assert!(part.is_empty());
+        assert_eq!(part.name(), "m");
+        part.append_rows(&src, &[2, 0]).unwrap();
+        let rows: Vec<Vec<Value>> = part.iter_rows().collect();
+        assert_eq!(rows, vec![vec![Value::Int(30)], vec![Value::Int(10)]]);
+        assert_eq!(part.mem_bytes(), part.__walk_mem());
+
+        let renamed = TempTable::materialized("m", Schema::of(&[("b", DataType::Int)]).into_ref());
+        assert!(matches!(
+            part.append_rows(&renamed, &[]),
+            Err(StorageError::SchemaMismatch(_))
+        ));
+        let map = StaticMap::new(vec![ColumnSource::Pointer { ptr: 0, offset: 0 }]).unwrap();
+        let pointers = TempTable::new("m", s, map).unwrap();
+        assert!(matches!(
+            part.check_definition(&pointers),
+            Err(StorageError::SchemaMismatch(_))
+        ));
+        assert_eq!(part.len(), 2, "a failed append leaves the table as it was");
     }
 
     #[test]
