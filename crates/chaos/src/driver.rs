@@ -253,7 +253,7 @@ fn build_market(cfg: &ScenarioConfig, rng: &mut StdRng) -> Market {
 
 fn setup_database(db: &Strip, market: &Market) -> Result<(), String> {
     db.execute_script(
-        "create table stocks (symbol str, price float); \
+        "create table stocks (symbol str, price float, seq int); \
          create index ix_stocks_symbol on stocks (symbol); \
          create table comps_list (comp str, symbol str, weight float); \
          create index ix_cl_symbol on comps_list (symbol); \
@@ -263,7 +263,7 @@ fn setup_database(db: &Strip, market: &Market) -> Result<(), String> {
     .map_err(|e| format!("scenario setup: {e}"))?;
     for (sym, price) in &market.initial {
         db.execute_with(
-            "insert into stocks values (?, ?)",
+            "insert into stocks values (?, ?, 0)",
             &[Value::str(sym), (*price).into()],
         )
         .map_err(|e| format!("scenario setup: {e}"))?;
@@ -358,7 +358,7 @@ pub fn repair_derived(db: &Strip) -> Result<(), String> {
 fn schema_only_db(market: &Market) -> Result<Strip, String> {
     let db = Strip::new();
     db.execute_script(
-        "create table stocks (symbol str, price float); \
+        "create table stocks (symbol str, price float, seq int); \
          create table comps_list (comp str, symbol str, weight float); \
          create table comp_prices (comp str, price float);",
     )
@@ -494,8 +494,8 @@ pub fn run_with_plan(cfg: &ScenarioConfig, plan: &FaultPlan) -> Outcome {
         return finish(cfg, plan, &injector, &db, vec![e]);
     }
 
-    // The maintenance function: execute_order/commit_time oracle over the
-    // bound `changes` table, then from-scratch recompute per touched comp.
+    // The maintenance function: execute_order oracle over the bound
+    // `changes` table, then from-scratch recompute per touched comp.
     let fn_violations: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
     let execs: Arc<Mutex<BTreeMap<String, u64>>> = Arc::new(Mutex::new(BTreeMap::new()));
     let runs = Arc::new(std::sync::atomic::AtomicU64::new(0));
@@ -506,21 +506,25 @@ pub fn run_with_plan(cfg: &ScenarioConfig, plan: &FaultPlan) -> Outcome {
         move |txn: &mut Txn<'_>| -> strip_core::Result<()> {
             runs.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
             if let Some(changes) = txn.bound("changes") {
-                let (Some(eo), Some(ct)) = (
-                    changes.schema().index_of("execute_order"),
-                    changes.schema().index_of("commit_time"),
-                ) else {
+                let schema = changes.schema();
+                let [Some(sym), Some(seq), Some(eo), Some(_)] =
+                    ["symbol", "seq", "execute_order", "commit_time"].map(|c| schema.index_of(c))
+                else {
                     fn_violations
                         .lock()
-                        .push("changes table lost its system columns".into());
+                        .push("changes table lost its firing columns".into());
                     return Ok(());
                 };
-                let rows: Vec<(i64, i64)> = (0..changes.len())
+                // Each feed transaction adds its own sequence number to its
+                // row's `seq`, so a row's `(symbol, seq)` names the
+                // transaction, and so the firing, that wrote it.
+                let rows: Vec<((String, i64), i64)> = (0..changes.len())
                     .map(|i| {
-                        (
-                            changes.value(i, eo).as_i64().unwrap_or(-1),
-                            changes.value(i, ct).as_i64().unwrap_or(-1),
-                        )
+                        let firing = (
+                            changes.value(i, sym).as_str().unwrap_or("").to_string(),
+                            changes.value(i, seq).as_i64().unwrap_or(-1),
+                        );
+                        (firing, changes.value(i, eo).as_i64().unwrap_or(-1))
                     })
                     .collect();
                 fn_violations
@@ -550,9 +554,10 @@ pub fn run_with_plan(cfg: &ScenarioConfig, plan: &FaultPlan) -> Outcome {
     };
     // The recompute rule is the paper's coarse form (the action re-reads the
     // database, so the condition only needs `new`, plus the `changes` bind
-    // feeding the execute_order oracle). The delta rule must be classified
-    // linear: it pairs `new`/`old` images on `execute_order` and carries the
-    // weight and both price images per change row, and binds nothing else.
+    // feeding the execute_order oracle, whose `seq` column names firings).
+    // The delta rule must be classified linear: it pairs `new`/`old` images
+    // on `execute_order` and carries the weight and both price images per
+    // change row, and binds nothing else.
     let rule_sql = match cfg.maintenance {
         MaintenanceMode::Delta => format!(
             "create rule chaos_comps on stocks when updated price if \
@@ -599,10 +604,15 @@ pub fn run_with_plan(cfg: &ScenarioConfig, plan: &FaultPlan) -> Outcome {
             .then(|| release_us + rng.gen_range(50_000..=400_000u64));
         let kind = format!("feed:{idx}:{symbol}");
         let (sym_param, delta_param) = (symbol.clone(), delta);
+        // The transaction's sequence number, added to the row's `seq`: the
+        // sum stays the same in any commit order (so the state digest does
+        // not depend on the executor), while each committed update leaves
+        // its row a `seq` no other update of that symbol leaves.
+        let seq = idx as i64 + 1;
         db.submit_txn_with(&kind, release_us, deadline, 1.0, move |t| {
             t.exec(
-                "update stocks set price += ? where symbol = ?",
-                &[delta_param.into(), Value::str(&sym_param)],
+                "update stocks set price += ?, seq += ? where symbol = ?",
+                &[delta_param.into(), seq.into(), Value::str(&sym_param)],
             )?;
             Ok(())
         });

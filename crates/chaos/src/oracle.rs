@@ -189,26 +189,41 @@ pub fn check_unique_pending(db: &Strip) -> Vec<String> {
 }
 
 /// Transition-table oracle, run *inside* the action function over the bound
-/// `changes` table (base columns… + execute_order + commit_time): within
-/// each firing (rows sharing a commit_time), `execute_order` must be
-/// strictly increasing — log-scan order, old/new pairing intact. Orders are
-/// 0-based per transaction (the engine's `TxnLog` numbering).
-pub fn check_execute_order(rows: &[(i64, i64)]) -> Vec<String> {
-    // rows: (execute_order, commit_time) in bound-table order.
+/// `changes` table (base columns… + execute_order + commit_time). `rows` are
+/// `(firing, execute_order)` in bound-table order, where `firing` names the
+/// triggering transaction. A merged payload appends whole firings, so each
+/// firing's rows are contiguous and strictly increasing in `execute_order`
+/// — log-scan order, old/new pairing intact. Orders are 0-based per
+/// transaction (the engine's `TxnLog` numbering). Firings that share a
+/// commit time are still told apart.
+pub fn check_execute_order<F: PartialEq + std::fmt::Debug>(rows: &[(F, i64)]) -> Vec<String> {
     let mut problems = Vec::new();
-    let mut prev: Option<(i64, i64)> = None;
-    for &(eo, ct) in rows {
+    // Firings whose rows ended before the current one began.
+    let mut closed: Vec<&F> = Vec::new();
+    let mut prev: Option<(&F, i64)> = None;
+    for (firing, eo) in rows {
+        let eo = *eo;
         if eo < 0 {
             problems.push(format!("execute_order: negative value {eo}"));
         }
-        if let Some((peo, pct)) = prev {
-            if ct == pct && eo <= peo {
-                problems.push(format!(
-                    "execute_order: not increasing within firing at commit_time {ct} ({peo} -> {eo})"
-                ));
+        match prev {
+            Some((pf, peo)) if pf == firing => {
+                if eo <= peo {
+                    problems.push(format!(
+                        "execute_order: not increasing within firing {firing:?} ({peo} -> {eo})"
+                    ));
+                }
+            }
+            _ => {
+                closed.extend(prev.map(|(pf, _)| pf));
+                if closed.contains(&firing) {
+                    problems.push(format!(
+                        "execute_order: firing {firing:?} split by another firing's rows"
+                    ));
+                }
             }
         }
-        prev = Some((eo, ct));
+        prev = Some((firing, eo));
     }
     problems
 }
@@ -227,16 +242,32 @@ mod tests {
 
     #[test]
     fn execute_order_oracle_accepts_merged_firings() {
-        // Two firings merged into one bound table: orders restart at a new
-        // commit_time — legal.
-        assert!(check_execute_order(&[(1, 100), (2, 100), (1, 250), (2, 250)]).is_empty());
+        // Two firings merged into one bound table: orders restart at the
+        // next firing — legal.
+        assert!(check_execute_order(&[(7, 1), (7, 2), (9, 1), (9, 2)]).is_empty());
+        // Two one-row firings, as two updates committed at the same virtual
+        // time leave them: both orders are 0, and each firing is in order.
+        assert!(check_execute_order(&[(7, 0), (9, 0)]).is_empty());
     }
 
     #[test]
     fn execute_order_oracle_rejects_regression_within_a_firing() {
-        let v = check_execute_order(&[(1, 100), (3, 100), (2, 100)]);
+        let v = check_execute_order(&[(7, 1), (7, 3), (7, 2)]);
         assert_eq!(v.len(), 1);
         assert!(v[0].contains("not increasing"));
+        // A repeated order within one firing is a regression too.
+        let v = check_execute_order(&[(7, 0), (7, 0)]);
+        assert_eq!(v.len(), 1);
+        assert!(v[0].contains("not increasing"));
+    }
+
+    #[test]
+    fn execute_order_oracle_rejects_a_split_firing() {
+        // Firing 7's rows interleaved with firing 9's: reordered rows, even
+        // though each firing's own orders increase.
+        let v = check_execute_order(&[(7, 0), (9, 0), (7, 1)]);
+        assert_eq!(v.len(), 1);
+        assert!(v[0].contains("split"));
     }
 
     #[test]

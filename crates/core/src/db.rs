@@ -803,16 +803,12 @@ impl Strip {
     /// conflicts with every granted mode, key-granular intents included.
     fn with_table_x<R>(&self, table: &str, f: impl FnOnce() -> Result<R>) -> Result<R> {
         let owner = self.inner.next_txn_id();
-        self.inner
-            .locks
-            .lock(
-                owner,
-                &table.to_ascii_lowercase(),
-                strip_txn::LockMode::Exclusive,
-            )
+        let locks = &self.inner.locks;
+        locks
+            .lock_table(owner, locks.table_id(table), strip_txn::LockMode::Exclusive)
             .map_err(|e| Error::Other(format!("ddl lock on `{table}`: {e}")))?;
         let r = f();
-        self.inner.locks.release_all(owner);
+        locks.release_all(owner);
         r
     }
 

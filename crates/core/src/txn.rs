@@ -20,6 +20,7 @@ use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
+use std::time::Duration;
 use strip_obs::{EventKind, Hist, TraceCtx};
 use strip_rules::SpawnAction;
 use strip_sql::cache::INTERNAL_KEY_PREFIX;
@@ -30,7 +31,7 @@ use strip_sql::{parse_statement, Statement};
 use strip_storage::{Meter, Op, RowId, TempTable, Value};
 use strip_txn::cost::CostMeter;
 use strip_txn::fault::{decide, FaultDecision, FaultPoint};
-use strip_txn::{key_resource, LockMode, LogEntry, Task, TaskCtx, TxnId, TxnLog};
+use strip_txn::{KeyRes, LockMode, LogEntry, Res, TableId, Task, TaskCtx, TxnId, TxnLog};
 
 /// A user-provided action function, run by a rule's action transaction.
 pub type UserFn = Arc<dyn for<'a> Fn(&mut Txn<'a>) -> Result<()> + Send + Sync>;
@@ -137,12 +138,12 @@ pub struct Txn<'a> {
     /// pair, one `ReleaseLock` per entry at commit — so the Table-1 virtual
     /// cost of a simple update is unchanged by key-granular locking. The
     /// locks *actually* held live in `footprint`.
-    charged: RefCell<HashSet<(String, LockMode)>>,
+    charged: RefCell<Vec<(TableId, LockMode)>>,
     /// Every lock-manager resource this transaction holds, with the
     /// strongest mode requested so far. Tables carry S/X (scans, DDL-ish
-    /// statements) or IS/IX intents (keyed access); key resources
-    /// (`table#column=key`) carry S/X.
-    footprint: RefCell<HashMap<String, LockMode>>,
+    /// statements) or IS/IX intents (keyed access); key resources carry
+    /// S/X.
+    footprint: RefCell<HashMap<Res, LockMode>>,
     /// Earliest base-commit virtual time this transaction is absorbing, when
     /// it is a rule action recomputing derived data. Commit uses it to record
     /// per-table staleness (base commit → derived commit lag, Figures 9–14).
@@ -204,7 +205,7 @@ impl<'a> Txn<'a> {
             kind: kind.to_string(),
             log: RefCell::new(TxnLog::new()),
             overlay,
-            charged: RefCell::new(HashSet::new()),
+            charged: RefCell::new(Vec::new()),
             footprint: RefCell::new(HashMap::new()),
             origin_us,
             trace,
@@ -400,89 +401,98 @@ impl<'a> Txn<'a> {
     /// Charge one `GetLock` the first time a `(table, S|X)` pair is seen —
     /// exactly what whole-table locking would have charged — so the virtual
     /// cost model is independent of lock granularity.
-    fn charge_get_lock(&self, table: &str, mode: LockMode) {
-        let key = (table.to_string(), mode);
-        if self.charged.borrow().contains(&key) {
-            return;
-        }
+    fn charge_get_lock(&self, table: TableId, mode: LockMode) {
+        let mut charged = self.charged.borrow_mut();
         // An exclusive charge already covers shared access.
-        if mode == LockMode::Shared
-            && self
-                .charged
-                .borrow()
-                .contains(&(key.0.clone(), LockMode::Exclusive))
-        {
-            return;
+        let covered = charged.iter().any(|&(t, m)| {
+            t == table && (m == mode || (mode == LockMode::Shared && m == LockMode::Exclusive))
+        });
+        if !covered {
+            self.meter.charge(Op::GetLock, 1);
+            charged.push((table, mode));
         }
-        self.meter.charge(Op::GetLock, 1);
-        self.charged.borrow_mut().insert(key);
+    }
+
+    /// Does the footprint already hold `res` in a mode covering `mode`?
+    fn holds(&self, res: Res, mode: LockMode) -> bool {
+        self.footprint
+            .borrow()
+            .get(&res)
+            .is_some_and(|m| m.covers(mode))
     }
 
     /// Record a resource in the footprint at the least upper bound of its
     /// current and newly requested modes (mirrors the lock manager's grant).
-    fn note_held(&self, resource: &str, mode: LockMode) {
+    fn note_held(&self, res: Res, mode: LockMode) {
         let mut fp = self.footprint.borrow_mut();
-        match fp.get_mut(resource) {
-            Some(m) => *m = m.lub(mode),
-            None => {
-                fp.insert(resource.to_string(), mode);
-            }
-        }
+        fp.entry(res)
+            .and_modify(|m| *m = m.lub(mode))
+            .or_insert(mode);
     }
 
-    /// Trace a genuine lock-manager wait (pool mode only; the simulator is
-    /// single-threaded and never blocks). Short waits are lock-manager
-    /// bookkeeping noise; only blocking ≥100µs is recorded, labeled by the
-    /// granularity of the contended resource.
-    fn note_wait(&self, wait_t0: Option<std::time::Instant>, resource: &str, key_granular: bool) {
-        if let Some(t0) = wait_t0 {
-            let waited_us = t0.elapsed().as_micros() as u64;
-            if waited_us >= 100 {
-                self.inner
-                    .obs
-                    .record_lock_wait_labeled(key_granular, waited_us);
-                // Feed the hot-key contention map: waits rank the resources
-                // (keys or tables) transactions actually queue on.
-                self.inner.obs.record_contention(resource, waited_us);
-                self.inner.obs.event_ctx(
-                    self.now_us(),
-                    self.id.0,
-                    EventKind::LockWait,
-                    resource,
-                    waited_us,
-                    self.trace,
-                    0,
-                );
-            }
+    /// Trace a genuine lock-manager wait, as timed by the manager on its
+    /// condition variable (pool mode only; the simulator is single-threaded
+    /// and never blocks). Short waits are lock-manager bookkeeping noise;
+    /// only blocking ≥100µs is recorded, labeled by the granularity of the
+    /// contended resource, whose name is rendered only then.
+    fn note_wait(&self, waited: Duration, key_granular: bool, resource: impl FnOnce() -> String) {
+        let waited_us = waited.as_micros() as u64;
+        if waited_us < 100 || !self.inner.obs.is_enabled() {
+            return;
         }
+        let resource = resource();
+        self.inner
+            .obs
+            .record_lock_wait_labeled(key_granular, waited_us);
+        // Feed the hot-key contention map: waits rank the resources (keys or
+        // tables) transactions actually queue on.
+        self.inner.obs.record_contention(&resource, waited_us);
+        self.inner.obs.event_ctx(
+            self.now_us(),
+            self.id.0,
+            EventKind::LockWait,
+            &resource,
+            waited_us,
+            self.trace,
+            0,
+        );
+    }
+
+    /// Injected lock-wait timeout on the fresh-acquire path. The lock
+    /// manager consults the injector too, but only on the would-block path
+    /// — which a single-threaded simulation never reaches — so a fresh
+    /// acquire asks here. The detail is the table name, so fault plans
+    /// target keyed acquires exactly as they target table ones.
+    fn injected_lock_timeout(&self, table: TableId) -> Result<()> {
+        if self.inner.injector.is_none() {
+            return Ok(());
+        }
+        let name = self.inner.locks.table_name(table);
+        if self.fault_decision(FaultPoint::LockAcquire, &name) == FaultDecision::Timeout {
+            return Err(Error::Aborted(format!(
+                "lock wait timeout (injected) on `{name}`"
+            )));
+        }
+        Ok(())
     }
 
     fn acquire(&self, table: &str, mode: LockMode) -> Result<()> {
-        let table = table.to_ascii_lowercase();
-        if self
-            .footprint
-            .borrow()
-            .get(&table)
-            .is_some_and(|m| m.covers(mode))
-        {
+        self.acquire_table(self.inner.locks.table_id(table), mode)
+    }
+
+    fn acquire_table(&self, table: TableId, mode: LockMode) -> Result<()> {
+        let res = Res::Table(table);
+        if self.holds(res, mode) {
             return Ok(());
         }
-        // Injected lock-wait timeout. The lock manager consults the injector
-        // too, but only on the would-block path — which a single-threaded
-        // simulation never reaches — so the fresh-acquire path asks here.
-        if self.fault_decision(FaultPoint::LockAcquire, &table) == FaultDecision::Timeout {
-            return Err(Error::Aborted(format!(
-                "lock wait timeout (injected) on `{table}`"
-            )));
-        }
-        let wait_t0 = self.inner.obs.is_enabled().then(std::time::Instant::now);
-        self.inner
-            .locks
-            .lock(self.id, &table, mode)
-            .map_err(|e| Error::Aborted(format!("lock on `{table}`: {e}")))?;
-        self.note_wait(wait_t0, &table, false);
-        self.charge_get_lock(&table, mode);
-        self.note_held(&table, mode);
+        self.injected_lock_timeout(table)?;
+        let locks = &self.inner.locks;
+        let waited = locks
+            .lock_table(self.id, table, mode)
+            .map_err(|e| Error::Aborted(format!("lock on `{}`: {e}", locks.table_name(table))))?;
+        self.note_wait(waited, false, || locks.table_name(table).to_string());
+        self.charge_get_lock(table, mode);
+        self.note_held(res, mode);
         Ok(())
     }
 
@@ -490,41 +500,27 @@ impl<'a> Txn<'a> {
     /// on the key resource `table#column=key`. Skipped entirely when a
     /// table-granular lock already covers the request.
     fn acquire_key(&self, table: &str, column: &str, key: &Value, mode: LockMode) -> Result<()> {
-        let table = table.to_ascii_lowercase();
-        if self
-            .footprint
-            .borrow()
-            .get(&table)
-            .is_some_and(|m| m.covers(mode))
-        {
+        let locks = &self.inner.locks;
+        self.acquire_key_id(
+            KeyRes::new(locks.table_id(table), locks.column_id(column), key),
+            mode,
+        )
+    }
+
+    fn acquire_key_id(&self, key: KeyRes<'_>, mode: LockMode) -> Result<()> {
+        let table = key.id().table();
+        if self.holds(Res::Table(table), mode) || self.holds(key.id(), mode) {
             return Ok(());
         }
-        let key_text = key.to_string();
-        let res = key_resource(&table, column, &key_text);
-        if self
-            .footprint
-            .borrow()
-            .get(&res)
-            .is_some_and(|m| m.covers(mode))
-        {
-            return Ok(());
-        }
-        // The injector keeps seeing the table name, so existing fault plans
-        // target keyed acquires exactly as they targeted table ones.
-        if self.fault_decision(FaultPoint::LockAcquire, &table) == FaultDecision::Timeout {
-            return Err(Error::Aborted(format!(
-                "lock wait timeout (injected) on `{table}`"
-            )));
-        }
-        let wait_t0 = self.inner.obs.is_enabled().then(std::time::Instant::now);
-        self.inner
-            .locks
-            .lock_key(self.id, &table, column, &key_text, mode)
-            .map_err(|e| Error::Aborted(format!("lock on `{res}`: {e}")))?;
-        self.note_wait(wait_t0, &res, true);
-        self.charge_get_lock(&table, mode);
-        self.note_held(&table, mode.intention());
-        self.note_held(&res, mode);
+        self.injected_lock_timeout(table)?;
+        let locks = &self.inner.locks;
+        let waited = locks
+            .lock_key_id(self.id, key, mode)
+            .map_err(|e| Error::Aborted(format!("lock on `{}`: {e}", locks.key_name(key))))?;
+        self.note_wait(waited, true, || locks.key_name(key));
+        self.charge_get_lock(table, mode);
+        self.note_held(Res::Table(table), mode.intention());
+        self.note_held(key.id(), mode);
         Ok(())
     }
 
@@ -534,27 +530,24 @@ impl<'a> Txn<'a> {
     /// value); a table without indexes has no key resources — its readers
     /// can only scan (table S) — so its writers fall back to table X.
     fn acquire_for_write(&self, t: &strip_storage::TableRef, images: &[&[Value]]) -> Result<()> {
+        let locks = &self.inner.locks;
+        let table = locks.table_id(t.name());
         if self.inner.granularity == LockGranularity::Table {
-            return self.acquire(t.name(), LockMode::Exclusive);
+            return self.acquire_table(table, LockMode::Exclusive);
         }
-        if self
-            .footprint
-            .borrow()
-            .get(t.name())
-            .is_some_and(|m| m.covers(LockMode::Exclusive))
-        {
+        if self.holds(Res::Table(table), LockMode::Exclusive) {
             return Ok(());
         }
         let indexes = t.indexes();
         if indexes.is_empty() {
-            return self.acquire(t.name(), LockMode::Exclusive);
+            return self.acquire_table(table, LockMode::Exclusive);
         }
         let schema = t.schema();
         for ix in &indexes {
             let col = ix.column();
-            let cname = &schema.column(col).name;
+            let column = locks.column_id(&schema.column(col).name);
             for img in images {
-                self.acquire_key(t.name(), cname, &img[col], LockMode::Exclusive)?;
+                self.acquire_key_id(KeyRes::new(table, column, &img[col]), LockMode::Exclusive)?;
             }
         }
         Ok(())
@@ -566,18 +559,15 @@ impl<'a> Txn<'a> {
     /// contention, not accounting. The first touch of each table traces a
     /// `SnapshotRead` event carrying the pinned timestamp.
     fn snapshot_read_entry(&self, table: &str) -> strip_sql::Result<()> {
-        let table = table.to_ascii_lowercase();
-        let first = !self
-            .charged
-            .borrow()
-            .contains(&(table.clone(), LockMode::Shared));
-        self.charge_get_lock(&table, LockMode::Shared);
-        if first {
+        let table = self.inner.locks.table_id(table);
+        let first = !self.charged.borrow().contains(&(table, LockMode::Shared));
+        self.charge_get_lock(table, LockMode::Shared);
+        if first && self.inner.obs.is_enabled() {
             if let Some(ts) = self.snapshot.get() {
                 self.inner.obs.record_snapshot_read(
                     self.now_us(),
                     self.id.0,
-                    &table,
+                    &self.inner.locks.table_name(table),
                     ts,
                     self.trace,
                 );
@@ -600,11 +590,12 @@ impl<'a> Txn<'a> {
     /// `(resource, strongest requested mode)`. Key resources contain `#`.
     /// Benchmarks use this to build conflict graphs from real footprints.
     pub fn lock_footprint(&self) -> Vec<(String, LockMode)> {
+        let locks = &self.inner.locks;
         let mut v: Vec<(String, LockMode)> = self
             .footprint
             .borrow()
             .iter()
-            .map(|(k, m)| (k.clone(), *m))
+            .map(|(res, m)| (locks.resource_name(*res), *m))
             .collect();
         v.sort();
         v
@@ -841,7 +832,10 @@ impl<'a> Txn<'a> {
         if n > 0 {
             self.meter.charge(Op::ReleaseLock, n);
         }
-        self.inner.locks.release_all(self.id);
+        // A read-only transaction never enters the lock manager.
+        if self.mode == TxnKind::ReadWrite {
+            self.inner.locks.release_all(self.id);
+        }
         self.charged.borrow_mut().clear();
         self.footprint.borrow_mut().clear();
         self.release_snapshot();

@@ -233,21 +233,30 @@ impl Ord for Value {
 }
 
 impl std::hash::Hash for Value {
+    /// Hashes the way [`Value`] compares: values that compare equal hash
+    /// alike. Ints and floats compare numerically, so both hash the bit
+    /// pattern of their `f64` image (`-0.0` normalized to `0.0`); the tag
+    /// is the comparison rank, shared by the two numeric variants.
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        std::mem::discriminant(self).hash(state);
+        self.rank().hash(state);
         match self {
             Value::Null => {}
-            Value::Int(i) => i.hash(state),
-            // Hash floats by their bit pattern, normalizing -0.0 so that
-            // `-0.0 == 0.0` implies equal hashes, consistent with cmp_total.
-            Value::Float(f) => {
-                let f = if *f == 0.0 { 0.0f64 } else { *f };
-                f.to_bits().hash(state)
-            }
+            Value::Int(i) => norm_zero(*i as f64).to_bits().hash(state),
+            Value::Float(f) => norm_zero(*f).to_bits().hash(state),
             Value::Str(s) => s.hash(state),
             Value::Bool(b) => b.hash(state),
             Value::Timestamp(t) => t.hash(state),
         }
+    }
+}
+
+/// Normalize `-0.0` to `0.0`, so `-0.0 == 0.0` (SQL semantics) while NaN
+/// stays totally ordered via `total_cmp`.
+fn norm_zero(f: f64) -> f64 {
+    if f == 0.0 {
+        0.0
+    } else {
+        f
     }
 }
 
@@ -258,34 +267,28 @@ impl Value {
     /// as SQL users expect.
     fn cmp_total(&self, other: &Value) -> Ordering {
         use Value::*;
-        fn rank(v: &Value) -> u8 {
-            match v {
-                Null => 0,
-                Bool(_) => 1,
-                Int(_) | Float(_) => 2,
-                Str(_) => 3,
-                Timestamp(_) => 4,
-            }
-        }
-        // Normalize -0.0 to 0.0 so `-0.0 == 0.0` (SQL semantics) while NaN
-        // stays totally ordered via total_cmp.
-        fn norm(f: f64) -> f64 {
-            if f == 0.0 {
-                0.0
-            } else {
-                f
-            }
-        }
         match (self, other) {
             (Null, Null) => Ordering::Equal,
             (Bool(a), Bool(b)) => a.cmp(b),
             (Int(a), Int(b)) => a.cmp(b),
-            (Float(a), Float(b)) => norm(*a).total_cmp(&norm(*b)),
-            (Int(a), Float(b)) => (*a as f64).total_cmp(&norm(*b)),
-            (Float(a), Int(b)) => norm(*a).total_cmp(&(*b as f64)),
+            (Float(a), Float(b)) => norm_zero(*a).total_cmp(&norm_zero(*b)),
+            (Int(a), Float(b)) => (*a as f64).total_cmp(&norm_zero(*b)),
+            (Float(a), Int(b)) => norm_zero(*a).total_cmp(&(*b as f64)),
             (Str(a), Str(b)) => a.as_ref().cmp(b.as_ref()),
             (Timestamp(a), Timestamp(b)) => a.cmp(b),
-            _ => rank(self).cmp(&rank(other)),
+            _ => self.rank().cmp(&other.rank()),
+        }
+    }
+
+    /// Position of this value's type in the total order; ints and floats
+    /// share one rank because they compare numerically.
+    fn rank(&self) -> u8 {
+        match self {
+            Value::Null => 0,
+            Value::Bool(_) => 1,
+            Value::Int(_) | Value::Float(_) => 2,
+            Value::Str(_) => 3,
+            Value::Timestamp(_) => 4,
         }
     }
 }
@@ -361,6 +364,42 @@ mod tests {
         let b = Value::Float(-0.0);
         assert_eq!(a, b);
         assert_eq!(h(&a), h(&b));
+    }
+
+    #[test]
+    fn equal_values_hash_equal_across_numeric_types() {
+        let values = [
+            Value::Int(0),
+            Value::Int(1),
+            Value::Int(-3),
+            Value::Int(1 << 53),
+            Value::Int((1 << 53) + 1),
+            Value::Int(i64::MAX),
+            Value::Int(i64::MIN),
+            Value::Float(0.0),
+            Value::Float(-0.0),
+            Value::Float(1.0),
+            Value::Float(1.5),
+            Value::Float(-3.0),
+            Value::Float((1u64 << 53) as f64),
+            Value::Float(i64::MAX as f64),
+            Value::Float(i64::MIN as f64),
+            Value::Float(f64::INFINITY),
+            Value::Float(f64::NAN),
+            Value::Timestamp(1),
+            Value::Bool(true),
+            Value::str("1"),
+            Value::Null,
+        ];
+        for a in &values {
+            for b in &values {
+                if a == b {
+                    assert_eq!(h(a), h(b), "{a:?} == {b:?} but their hashes differ");
+                }
+            }
+        }
+        assert_eq!(Value::Int(1), Value::Float(1.0));
+        assert_eq!(h(&Value::Int(1)), h(&Value::Float(1.0)));
     }
 
     #[test]

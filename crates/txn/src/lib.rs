@@ -29,7 +29,8 @@ pub mod task;
 pub use cost::{CostMeter, CostModel};
 pub use fault::{FaultDecision, FaultInjector, FaultPoint, InjectorHandle};
 pub use lock::{
-    is_key_resource, key_resource, resource_table, LockError, LockManager, LockMode, TxnId,
+    is_key_resource, key_resource, resource_table, ColumnId, KeyRes, LockError, LockManager,
+    LockMode, Res, TableId, TxnId,
 };
 pub use log::{LogEntry, RecoveredState, TxnLog, Wal, WalError, WalOp, WalTxn};
 pub use pool::WorkerPool;

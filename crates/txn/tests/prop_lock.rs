@@ -4,15 +4,18 @@
 //! transactions ever hold incompatible locks, that the intention protocol
 //! is respected (a key-mode grant implies the covering intention mode on
 //! its table), that deadlocks are reported exactly when a waits-for cycle
-//! exists, plus delay/ready queue laws.
+//! exists, plus delay/ready queue laws. Every operation goes through either
+//! the `&str` entry points or the interned-id ones (the two must agree),
+//! and the manager's own bookkeeping is checked after each.
 
 use proptest::prelude::*;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
+use strip_storage::Value;
 use strip_txn::fault::{FaultDecision, FaultInjector, FaultPoint};
 use strip_txn::{
-    key_resource, resource_table, DelayQueue, LockError, LockManager, LockMode, Policy, ReadyQueue,
-    Task, TxnId,
+    key_resource, resource_table, DelayQueue, KeyRes, LockError, LockManager, LockMode, Policy,
+    ReadyQueue, Task, TxnId,
 };
 
 const MODES: [LockMode; 5] = [
@@ -25,21 +28,81 @@ const MODES: [LockMode; 5] = [
 
 #[derive(Debug, Clone)]
 enum LockOp {
-    /// Table-granular acquire: (txn, table, mode).
-    TryLock(u8, u8, LockMode),
-    /// Hierarchical acquire: (txn, table, key, exclusive) — takes the
-    /// intention mode on the table, then S/X on `table#c=k<key>`.
-    TryLockKey(u8, u8, u8, bool),
+    /// Table-granular acquire: (txn, table, mode, through the id entry
+    /// point).
+    TryLock(u8, u8, LockMode, bool),
+    /// Hierarchical acquire: (txn, table, key, exclusive, through the id
+    /// entry point) — takes the intention mode on the table, then S/X on
+    /// `table#c=k<key>`.
+    TryLockKey(u8, u8, u8, bool, bool),
     Release(u8),
 }
 
 fn lock_op() -> impl Strategy<Value = LockOp> {
     prop_oneof![
-        (0..4u8, 0..3u8, 0..5usize).prop_map(|(t, r, m)| LockOp::TryLock(t, r, MODES[m])),
-        (0..4u8, 0..3u8, 0..2u8, any::<bool>())
-            .prop_map(|(t, r, k, x)| LockOp::TryLockKey(t, r, k, x)),
+        (0..4u8, 0..3u8, 0..5usize, any::<bool>())
+            .prop_map(|(t, r, m, ids)| LockOp::TryLock(t, r, MODES[m], ids)),
+        (0..4u8, 0..3u8, 0..2u8, any::<bool>(), any::<bool>())
+            .prop_map(|(t, r, k, x, ids)| LockOp::TryLockKey(t, r, k, x, ids)),
         (0..4u8).prop_map(LockOp::Release),
     ]
+}
+
+/// Non-blocking table acquire through the `&str` or the id entry point.
+fn try_table(lm: &LockManager, t: u8, table: &str, mode: LockMode, ids: bool) -> bool {
+    let txn = TxnId(t as u64);
+    if ids {
+        lm.try_lock_table(txn, lm.table_id(table), mode).is_ok()
+    } else {
+        lm.try_lock(txn, table, mode).is_ok()
+    }
+}
+
+/// Non-blocking hierarchical acquire on column `c`, through either entry
+/// point; the id path locks the key as a string value, as the `&str` path
+/// does.
+fn try_key(lm: &LockManager, t: u8, table: &str, key: &str, mode: LockMode, ids: bool) -> bool {
+    let txn = TxnId(t as u64);
+    if ids {
+        let key = Value::str(key);
+        let k = KeyRes::new(lm.table_id(table), lm.column_id("c"), &key);
+        lm.try_lock_key_id(txn, k, mode).is_ok()
+    } else {
+        lm.try_lock_key(txn, table, "c", key, mode).is_ok()
+    }
+}
+
+/// Blocking table acquire through either entry point.
+fn lock_table(
+    lm: &LockManager,
+    t: u64,
+    table: &str,
+    mode: LockMode,
+    ids: bool,
+) -> Result<(), LockError> {
+    if ids {
+        lm.lock_table(TxnId(t), lm.table_id(table), mode).map(drop)
+    } else {
+        lm.lock(TxnId(t), table, mode)
+    }
+}
+
+/// Blocking hierarchical acquire on column `c` through either entry point.
+fn lock_key(
+    lm: &LockManager,
+    t: u64,
+    table: &str,
+    key: &str,
+    mode: LockMode,
+    ids: bool,
+) -> Result<(), LockError> {
+    if ids {
+        let key = Value::str(key);
+        let k = KeyRes::new(lm.table_id(table), lm.column_id("c"), &key);
+        lm.lock_key_id(TxnId(t), k, mode).map(drop)
+    } else {
+        lm.lock_key(TxnId(t), table, "c", key, mode)
+    }
 }
 
 /// Reference model of a single `try_lock`: re-entrant covers check, then
@@ -76,19 +139,17 @@ proptest! {
         let mut held: HashMap<String, HashMap<u8, LockMode>> = HashMap::new();
         for op in ops {
             match op {
-                LockOp::TryLock(t, r, mode) => {
+                LockOp::TryLock(t, r, mode, ids) => {
                     let res = format!("r{r}");
-                    let granted = lm.try_lock(TxnId(t as u64), &res, mode).is_ok();
+                    let granted = try_table(&lm, t, &res, mode, ids);
                     let expect = model_try(&mut held, t, &res, mode);
                     prop_assert_eq!(granted, expect, "txn {} mode {:?} on {}", t, mode, res);
                 }
-                LockOp::TryLockKey(t, r, k, exclusive) => {
+                LockOp::TryLockKey(t, r, k, exclusive, ids) => {
                     let mode = if exclusive { LockMode::Exclusive } else { LockMode::Shared };
                     let table = format!("r{r}");
                     let key = format!("k{k}");
-                    let granted = lm
-                        .try_lock_key(TxnId(t as u64), &table, "c", &key, mode)
-                        .is_ok();
+                    let granted = try_key(&lm, t, &table, &key, mode, ids);
                     // Model mirrors the two-step protocol: intention on the
                     // table first; the key mode is attempted only if the
                     // intention was granted.
@@ -105,6 +166,11 @@ proptest! {
                         holders.remove(&t);
                     }
                 }
+            }
+            // Each transaction's held list equals the holders recorded per
+            // resource.
+            if let Err(e) = lm.check_invariants() {
+                prop_assert!(false, "lock manager bookkeeping: {}", e);
             }
             for (res, holders) in &held {
                 // Invariant 1: all grants on a resource are pairwise
@@ -190,21 +256,25 @@ proptest! {
             // Blocking path is safe single-threaded: the injector turns
             // every would-block wait into a Timeout error.
             match op {
-                LockOp::TryLock(t, r, mode) => {
-                    let _ = lm.lock(TxnId(t as u64), &format!("r{r}"), mode);
+                LockOp::TryLock(t, r, mode, ids) => {
+                    let _ = lock_table(&lm, t as u64, &format!("r{r}"), mode, ids);
                 }
-                LockOp::TryLockKey(t, r, k, exclusive) => {
+                LockOp::TryLockKey(t, r, k, exclusive, ids) => {
                     let mode = if exclusive { LockMode::Exclusive } else { LockMode::Shared };
-                    let _ = lm.lock_key(
-                        TxnId(t as u64), &format!("r{r}"), "c", &format!("k{k}"), mode,
-                    );
+                    let _ = lock_key(&lm, t as u64, &format!("r{r}"), &format!("k{k}"), mode, ids);
                 }
                 LockOp::Release(t) => lm.release_all(TxnId(t as u64)),
+            }
+            if let Err(e) = lm.check_invariants() {
+                prop_assert!(false, "lock manager bookkeeping: {}", e);
             }
         }
         for t in abort_order {
             lm.release_all(TxnId(t as u64)); // abort
             alive.remove(&t);
+            if let Err(e) = lm.check_invariants() {
+                prop_assert!(false, "lock manager bookkeeping: {}", e);
+            }
             prop_assert!(lm.held_by(TxnId(t as u64)).is_empty(), "txn {} leaked a lock", t);
             let survivors: usize = alive
                 .iter()
@@ -240,21 +310,21 @@ proptest! {
         };
         for op in ops {
             match op {
-                LockOp::TryLock(t, r, mode) => {
-                    check(&lm, lm.lock(TxnId(t as u64), &format!("r{r}"), mode), t)?;
+                LockOp::TryLock(t, r, mode, ids) => {
+                    check(&lm, lock_table(&lm, t as u64, &format!("r{r}"), mode, ids), t)?;
                 }
-                LockOp::TryLockKey(t, r, k, exclusive) => {
+                LockOp::TryLockKey(t, r, k, exclusive, ids) => {
                     let mode = if exclusive { LockMode::Exclusive } else { LockMode::Shared };
-                    check(
-                        &lm,
-                        lm.lock_key(TxnId(t as u64), &format!("r{r}"), "c", &format!("k{k}"), mode),
-                        t,
-                    )?;
+                    let (table, key) = (format!("r{r}"), format!("k{k}"));
+                    check(&lm, lock_key(&lm, t as u64, &table, &key, mode, ids), t)?;
                 }
                 LockOp::Release(t) => lm.release_all(TxnId(t as u64)),
             }
             // Nobody ever waits under timeout injection.
             prop_assert_eq!(lm.blocked_count(), 0);
+            if let Err(e) = lm.check_invariants() {
+                prop_assert!(false, "lock manager bookkeeping: {}", e);
+            }
         }
     }
 
@@ -315,20 +385,19 @@ proptest! {
 // both granularities.
 proptest! {
     #[test]
-    fn real_cycles_are_detected(shape in 0..3usize) {
+    fn real_cycles_are_detected(shape in 0..3usize, ids in any::<bool>()) {
         use std::sync::Barrier;
         let lm = Arc::new(LockManager::new());
         let barrier = Arc::new(Barrier::new(2));
-        fn grab(lm: &LockManager, t: u64, which: usize, shape: usize) -> Result<(), LockError> {
+        let grab = move |lm: &LockManager, t: u64, which: usize, shape: usize| {
+            let x = LockMode::Exclusive;
             match (shape, which) {
-                (0, w) => lm.lock(TxnId(t), if w == 0 { "a" } else { "b" }, LockMode::Exclusive),
-                (1, w) => lm.lock_key(
-                    TxnId(t), "a", "c", if w == 0 { "k0" } else { "k1" }, LockMode::Exclusive,
-                ),
-                (_, 0) => lm.lock(TxnId(t), "a", LockMode::Exclusive),
-                (_, _) => lm.lock_key(TxnId(t), "b", "c", "k0", LockMode::Exclusive),
+                (0, w) => lock_table(lm, t, if w == 0 { "a" } else { "b" }, x, ids),
+                (1, w) => lock_key(lm, t, "a", if w == 0 { "k0" } else { "k1" }, x, ids),
+                (_, 0) => lock_table(lm, t, "a", x, ids),
+                (_, _) => lock_key(lm, t, "b", "k0", x, ids),
             }
-        }
+        };
         let mut handles = Vec::new();
         for id in 0..2u64 {
             let lm = Arc::clone(&lm);
@@ -363,6 +432,7 @@ proptest! {
         );
         prop_assert_eq!(lm.held_count(), 0);
         prop_assert_eq!(lm.blocked_count(), 0);
+        prop_assert!(lm.check_invariants().is_ok());
     }
 
     // Random concurrent strict-2PL traffic over a small hot resource set:
@@ -373,7 +443,7 @@ proptest! {
     #[test]
     fn concurrent_2pl_storm_terminates_cleanly(
         seqs in proptest::collection::vec(
-            proptest::collection::vec((0..2u8, 0..2u8, any::<bool>()), 1..12),
+            proptest::collection::vec((0..2u8, 0..2u8, any::<bool>(), any::<bool>()), 1..12),
             3,
         ),
     ) {
@@ -382,13 +452,14 @@ proptest! {
         for (i, seq) in seqs.into_iter().enumerate() {
             let lm = Arc::clone(&lm);
             handles.push(std::thread::spawn(move || {
-                let txn = TxnId(i as u64 + 1);
-                for (r, k, exclusive) in seq {
+                let t = i as u64 + 1;
+                let txn = TxnId(t);
+                for (r, k, exclusive, ids) in seq {
                     let mode = if exclusive { LockMode::Exclusive } else { LockMode::Shared };
                     let res = if k == 0 {
-                        lm.lock(txn, &format!("r{r}"), mode)
+                        lock_table(&lm, t, &format!("r{r}"), mode, ids)
                     } else {
-                        lm.lock_key(txn, &format!("r{r}"), "c", "k", mode)
+                        lock_key(&lm, t, &format!("r{r}"), "k", mode, ids)
                     };
                     if res.is_err() {
                         lm.release_all(txn); // abort; strict 2PL drops everything
@@ -403,5 +474,6 @@ proptest! {
         }
         prop_assert_eq!(lm.held_count(), 0);
         prop_assert_eq!(lm.blocked_count(), 0);
+        prop_assert!(lm.check_invariants().is_ok());
     }
 }
