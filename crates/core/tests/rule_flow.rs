@@ -2,6 +2,7 @@
 //! (Figures 3–7): the `stocks` / `comps_list` / `comp_prices` schema with
 //! the data of Figure 4 and the three composite-maintenance rules.
 
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
@@ -857,5 +858,259 @@ fn started_action_holds_the_only_pins_and_frees_them() {
         weaks.iter().all(|w| w.upgrade().is_none()),
         "freed after the action"
     );
+    assert!(db.take_errors().is_empty());
+}
+
+/// An [`Env`](strip_sql::exec::Env) over a bare catalog that bills a
+/// [`CountingMeter`](strip_storage::CountingMeter): the rule engine's
+/// commit-time work, counted op by op.
+struct MeteredEnv {
+    catalog: strip_storage::Catalog,
+    meter: strip_storage::CountingMeter,
+}
+
+impl strip_sql::exec::Env for MeteredEnv {
+    fn meter(&self) -> &dyn strip_storage::Meter {
+        &self.meter
+    }
+    fn relation(&self, name: &str) -> Option<strip_sql::exec::Rel> {
+        self.catalog
+            .table(name)
+            .ok()
+            .map(strip_sql::exec::Rel::Standard)
+    }
+    fn scalar_fn(&self, _: &str) -> Option<strip_sql::expr::ScalarFn> {
+        None
+    }
+    fn dml_insert(&self, _: &str, _: Vec<Value>) -> strip_sql::Result<()> {
+        unreachable!("rule processing writes nothing")
+    }
+    fn dml_update(&self, _: &str, _: strip_storage::RowId, _: Vec<Value>) -> strip_sql::Result<()> {
+        unreachable!("rule processing writes nothing")
+    }
+    fn dml_delete(&self, _: &str, _: strip_storage::RowId) -> strip_sql::Result<()> {
+        unreachable!("rule processing writes nothing")
+    }
+}
+
+/// The PTA's schema in small: stocks, composites and options.
+const PTA_SCHEMA: &str = "create table stocks (symbol str, price float); \
+     create index ix_stocks_symbol on stocks (symbol); \
+     create table comps_list (comp str, symbol str, weight float); \
+     create index ix_cl_symbol on comps_list (symbol); \
+     create table options_list (option_symbol str, stock_symbol str, \
+                                strike float, expiration float); \
+     create index ix_ol_stock on options_list (stock_symbol);";
+
+/// The paper's two recommended rules: `unique on comp` over the
+/// `comps_list ⋈ new ⋈ old` matches, `unique on stock_symbol` over the
+/// `options_list ⋈ new` matches.
+const PTA_RULES: [&str; 2] = [
+    "create rule do_comps on stocks when updated price \
+     if select comp, comps_list.symbol as symbol, weight, \
+               old.price as old_price, new.price as new_price \
+        from comps_list, new, old \
+        where comps_list.symbol = new.symbol \
+          and new.execute_order = old.execute_order \
+        bind as matches \
+     then execute compute_comps3 unique on comp after 1 seconds",
+    "create rule do_options on stocks when updated price \
+     if select option_symbol, stock_symbol, strike, expiration, \
+               new.price as new_price \
+        from options_list, new \
+        where options_list.stock_symbol = new.symbol \
+        bind as matches \
+     then execute compute_options_by_stock unique on stock_symbol \
+          after 1 seconds",
+];
+
+const PTA_STOCKS: [(&str, f64); 4] = [("S1", 30.0), ("S2", 40.0), ("S3", 50.0), ("S4", 60.0)];
+const PTA_COMPS: [(&str, &str, f64); 5] = [
+    ("C1", "S1", 0.5),
+    ("C1", "S3", 0.5),
+    ("C2", "S1", 0.3),
+    ("C2", "S2", 0.7),
+    ("C3", "S2", 1.0),
+];
+const PTA_OPTIONS: [(&str, &str); 4] = [("O1", "S1"), ("O2", "S1"), ("O3", "S2"), ("O4", "S4")];
+
+/// The two update commits: the first fires both rules into no payload
+/// (every partition new); the second updates S1 twice, so both firings
+/// carry repeated keys, and merges into the pending C1, C2 and S1
+/// payloads beside a new S4 one.
+const PTA_COMMITS: [&[(&str, f64)]; 2] = [
+    &[("S1", 31.0), ("S2", 39.0)],
+    &[("S1", 32.0), ("S3", 51.0), ("S1", 33.0), ("S4", 61.0)],
+];
+
+#[test]
+fn pta_update_commit_charges_are_pinned() {
+    use strip_storage::Op::*;
+    use strip_storage::{CountingMeter, DataType, IndexKind, Schema};
+
+    // The rule engine's commit-time work (event detection, transition
+    // tables, both condition joins, bound tables, unique dispatch), per
+    // `Op` on a counting meter.
+    let env = MeteredEnv {
+        catalog: strip_storage::Catalog::new(),
+        meter: CountingMeter::new(),
+    };
+    let table = |name: &str, cols: &[(&str, DataType)], ix: &str| {
+        let t = env
+            .catalog
+            .create_table(name, Schema::of(cols).into_ref())
+            .unwrap();
+        t.create_index(format!("ix_{name}"), ix, IndexKind::Hash)
+            .unwrap();
+        t
+    };
+    let (s, f) = (DataType::Str, DataType::Float);
+    let stocks = table("stocks", &[("symbol", s), ("price", f)], "symbol");
+    let comps = table(
+        "comps_list",
+        &[("comp", s), ("symbol", s), ("weight", f)],
+        "symbol",
+    );
+    let options = table(
+        "options_list",
+        &[
+            ("option_symbol", s),
+            ("stock_symbol", s),
+            ("strike", f),
+            ("expiration", f),
+        ],
+        "stock_symbol",
+    );
+    let mut ids = HashMap::new();
+    for (sym, price) in PTA_STOCKS {
+        let (id, _) = stocks.insert(vec![sym.into(), price.into()]).unwrap();
+        ids.insert(sym, id);
+    }
+    for (comp, sym, w) in PTA_COMPS {
+        comps
+            .insert(vec![comp.into(), sym.into(), w.into()])
+            .unwrap();
+    }
+    for (opt, sym) in PTA_OPTIONS {
+        options
+            .insert(vec![opt.into(), sym.into(), 35.0.into(), 0.5.into()])
+            .unwrap();
+    }
+    let engine = strip_rules::RuleEngine::new();
+    for sql in PTA_RULES {
+        let strip_sql::Statement::CreateRule(ast) = strip_sql::parse_statement(sql).unwrap() else {
+            panic!("not a rule: {sql}")
+        };
+        engine
+            .add_rule(strip_rules::CompiledRule::compile(&ast).unwrap())
+            .unwrap();
+    }
+    let want: [&[(strip_storage::Op, u64)]; 2] = [
+        &[
+            (OpenCursor, 3),
+            (FetchCursor, 7),
+            (CloseCursor, 3),
+            (IndexProbe, 4),
+            (TempTupleBuild, 18),
+            (TempTupleRead, 6),
+            (EvalExpr, 12),
+            (UniqueHashOp, 5),
+            (RuleCheck, 2),
+            (LogScanRecord, 2),
+        ],
+        &[
+            (OpenCursor, 4),
+            (FetchCursor, 9),
+            (CloseCursor, 4),
+            (IndexProbe, 4),
+            (TempTupleBuild, 37),
+            (TempTupleRead, 12),
+            (EvalExpr, 40),
+            (UniqueHashOp, 4),
+            (RuleCheck, 2),
+            (LogScanRecord, 4),
+        ],
+    ];
+    let mut spawned = Vec::new();
+    for (n, commit) in PTA_COMMITS.iter().enumerate() {
+        let mut log = strip_txn::TxnLog::new();
+        for (sym, price) in commit.iter() {
+            let id = ids[sym];
+            let (old, new) = stocks
+                .update(id, vec![(*sym).into(), (*price).into()])
+                .unwrap();
+            log.log_update("stocks", id, old, new);
+        }
+        let before = env.meter.snapshot();
+        engine
+            .process_commit(&env, &log, 1_000 * (n as u64 + 1), 0, &mut |sa| {
+                spawned.push((sa.func, sa.payload.unique_key.clone()))
+            })
+            .unwrap();
+        let charged: Vec<(strip_storage::Op, u64)> = env
+            .meter
+            .snapshot()
+            .into_iter()
+            .map(|(op, c)| (op, c - before.get(&op).copied().unwrap_or(0)))
+            .filter(|(_, c)| *c > 0)
+            .collect();
+        assert_eq!(charged, want[n], "commit {n}'s rule processing charges");
+    }
+    // Five payloads from the first commit, one (S4) from the second.
+    let key = |k: &str| vec![Value::str(k)];
+    assert_eq!(
+        spawned,
+        [
+            ("compute_comps3".to_string(), key("C1")),
+            ("compute_comps3".to_string(), key("C2")),
+            ("compute_comps3".to_string(), key("C3")),
+            ("compute_options_by_stock".to_string(), key("S1")),
+            ("compute_options_by_stock".to_string(), key("S2")),
+            ("compute_options_by_stock".to_string(), key("S4")),
+        ]
+    );
+    assert_eq!(engine.unique().pending_count("compute_comps3"), 3);
+    assert_eq!(engine.unique().pending_count("compute_options_by_stock"), 3);
+
+    // The same two commits through the facade: each update transaction's
+    // charged virtual time (locks, probes, updates, commit, rule work).
+    let db = Strip::new();
+    db.execute_script(PTA_SCHEMA).unwrap();
+    let mut load = Vec::new();
+    for (sym, price) in PTA_STOCKS {
+        load.push(format!("insert into stocks values ('{sym}', {price})"));
+    }
+    for (comp, sym, w) in PTA_COMPS {
+        load.push(format!(
+            "insert into comps_list values ('{comp}', '{sym}', {w})"
+        ));
+    }
+    for (opt, sym) in PTA_OPTIONS {
+        load.push(format!(
+            "insert into options_list values ('{opt}', '{sym}', 35, 0.5)"
+        ));
+    }
+    db.execute_script(&load.join("; ")).unwrap();
+    for sql in PTA_RULES {
+        db.execute(sql).unwrap();
+    }
+    let mut charged_us = Vec::new();
+    for (n, commit) in PTA_COMMITS.iter().enumerate() {
+        let kind = format!("commit{n}");
+        db.txn_named(&kind, |t| {
+            for (sym, price) in commit.iter() {
+                t.exec(
+                    "update stocks set price = ? where symbol = ?",
+                    &[(*price).into(), (*sym).into()],
+                )?;
+            }
+            Ok(())
+        })
+        .unwrap();
+        charged_us.push(db.stats().by_kind[&kind].total_us);
+    }
+    assert_eq!(charged_us, [743, 1158]);
+    assert_eq!(db.pending_unique("compute_comps3"), 3);
+    assert_eq!(db.pending_unique("compute_options_by_stock"), 3);
     assert!(db.take_errors().is_empty());
 }

@@ -274,14 +274,19 @@ impl ObsSnapshot {
             "strip_mem_temp_hwm_bytes {}",
             self.memory.temp_hwm_bytes
         );
+        // Each family's samples follow its own TYPE line: every table's
+        // bytes first, then every table's high-water mark. A table whose
+        // name is no valid label is skipped in both, counted once.
+        let tables: Vec<_> = self
+            .memory
+            .tables
+            .iter()
+            .filter(|t| prom_label_valid(&t.table))
+            .map(|t| (prom_escape(&t.table), t))
+            .collect();
+        skipped += self.memory.tables.len() - tables.len();
         let _ = writeln!(out, "# TYPE strip_mem_table_bytes gauge");
-        let _ = writeln!(out, "# TYPE strip_mem_table_hwm_bytes gauge");
-        for t in &self.memory.tables {
-            if !prom_label_valid(&t.table) {
-                skipped += 1;
-                continue;
-            }
-            let l = prom_escape(&t.table);
+        for (l, t) in &tables {
             for (class, bytes) in [
                 ("rows", t.row_bytes),
                 ("index", t.index_bytes),
@@ -292,6 +297,9 @@ impl ObsSnapshot {
                     "strip_mem_table_bytes{{table=\"{l}\",class=\"{class}\"}} {bytes}"
                 );
             }
+        }
+        let _ = writeln!(out, "# TYPE strip_mem_table_hwm_bytes gauge");
+        for (l, t) in &tables {
             let _ = writeln!(
                 out,
                 "strip_mem_table_hwm_bytes{{table=\"{l}\"}} {}",

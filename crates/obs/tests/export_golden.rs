@@ -137,3 +137,40 @@ fn every_exporter_matches_its_golden_bytes() {
         );
     }
 }
+
+/// The family a Prometheus sample line belongs to, given the family its
+/// last `# TYPE` line declared: a summary's `_count`/`_sum`/`_max` lines
+/// are its own.
+fn sample_in_family(sample: &str, family: &str, kind: &str) -> bool {
+    let name = sample.split(['{', ' ']).next().unwrap_or_default();
+    name == family
+        || (kind == "summary"
+            && ["_count", "_sum", "_max"]
+                .iter()
+                .any(|s| name.strip_prefix(family) == Some(s)))
+}
+
+#[test]
+fn prometheus_families_are_grouped_under_their_type_lines() {
+    let prom = sink().snapshot().to_prometheus();
+    let mut declared: Vec<&str> = Vec::new();
+    let mut current: Option<(&str, &str)> = None;
+    for line in prom.lines() {
+        if let Some(decl) = line.strip_prefix("# TYPE ") {
+            let (family, kind) = decl.split_once(' ').expect("TYPE line names a kind");
+            assert!(
+                !declared.contains(&family),
+                "family {family} is declared twice:\n{prom}"
+            );
+            declared.push(family);
+            current = Some((family, kind));
+        } else if !line.starts_with('#') {
+            let (family, kind) = current.expect("a sample before any TYPE line");
+            assert!(
+                sample_in_family(line, family, kind),
+                "sample `{line}` sits in family {family}'s group:\n{prom}"
+            );
+        }
+    }
+    assert!(declared.contains(&"strip_mem_table_hwm_bytes"));
+}

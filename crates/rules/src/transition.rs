@@ -31,6 +31,19 @@ pub struct TransitionTables {
 }
 
 impl TransitionTables {
+    /// The transition table a query names (`inserted`, `deleted`, `old`
+    /// or `new`, any case).
+    pub fn get(&self, name: &str) -> Option<&Arc<TempTable>> {
+        [
+            ("inserted", &self.inserted),
+            ("deleted", &self.deleted),
+            ("old", &self.old),
+            ("new", &self.new),
+        ]
+        .into_iter()
+        .find_map(|(n, t)| name.eq_ignore_ascii_case(n).then_some(t))
+    }
+
     /// Number of update events captured.
     pub fn update_count(&self) -> usize {
         self.new.len()

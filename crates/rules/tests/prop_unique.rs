@@ -282,3 +282,79 @@ proptest! {
         }
     }
 }
+
+/// Bound tables `m` (a, b, x), the one unique table, and `aux` (e, f, z),
+/// broadcast to every partition.
+fn bound_with_aux(m: &[Row], aux: &[Row]) -> HashMap<String, TempTable> {
+    HashMap::from([
+        ("m".to_string(), table("m", ["a", "b", "x"], m)),
+        ("aux".to_string(), table("aux", ["e", "f", "z"], aux)),
+    ])
+}
+
+proptest! {
+    #[test]
+    fn single_unique_table_dispatch_matches_reference(
+        firings in proptest::collection::vec(
+            (
+                proptest::collection::vec((0..3u8, 0..2i64, -10.0..10.0f64), 1..8),
+                proptest::collection::vec((0..3u8, 0..2i64, -10.0..10.0f64), 0..3),
+            ),
+            1..6,
+        ),
+        key_choice in 0..2usize,
+    ) {
+        // One unique table: each partition's rows of `m` move out of the
+        // firing's table; `aux` goes whole to every partition. Reference:
+        // each firing's Appendix-A partitions appended, per key, to what
+        // earlier firings left pending.
+        let (cols, key): (Vec<String>, KeyFn) = match key_choice {
+            0 => (vec!["a".into()], |r| vec![Value::str(format!("k{}", r.0))]),
+            _ => (
+                vec!["b".into(), "a".into()],
+                |r| vec![Value::Int(r.1), Value::str(format!("k{}", r.0))],
+            ),
+        };
+        let mut model: HashMap<Vec<Value>, [Vec<Row>; 2]> = HashMap::new();
+        let um = UniqueManager::new();
+        let mut payloads = Vec::new();
+        for (m, aux) in &firings {
+            let want = reference_partition(m, key);
+            for (k, rows) in &want {
+                let [em, ea] = model.entry(k.clone()).or_default();
+                em.extend(rows);
+                ea.extend(aux);
+            }
+            let got = um
+                .dispatch_unique("f", &cols, bound_with_aux(m, aux), &NullMeter, 0)
+                .unwrap();
+            // One dispatch per partition, in first-seen key order.
+            prop_assert_eq!(got.len(), want.len());
+            for (d, (k, _)) in got.into_iter().zip(&want) {
+                let p = match d {
+                    Dispatch::New(p) => {
+                        payloads.push(p.clone());
+                        p
+                    }
+                    Dispatch::Merged(p) => p,
+                };
+                prop_assert_eq!(&p.unique_key, k);
+            }
+            // Every payload's byte meter is exact after each merge.
+            for p in &payloads {
+                let st = p.state.lock();
+                for t in st.bound.values() {
+                    prop_assert_eq!(t.mem_bytes(), t.__walk_mem());
+                }
+            }
+        }
+        prop_assert_eq!(payloads.len(), model.len());
+        prop_assert_eq!(um.pending_count("f"), model.len());
+        for p in &payloads {
+            let st = p.state.lock();
+            let [wm, wa] = &model[&p.unique_key];
+            prop_assert_eq!(&rows_of(&st.bound["m"]), wm);
+            prop_assert_eq!(&rows_of(&st.bound["aux"]), wa);
+        }
+    }
+}

@@ -1,13 +1,18 @@
 //! The vectorized batch executor.
 //!
-//! [`RowBatch`] is the columnar unit of execution: the joined row layout
-//! stored column-major (`cols[flat_offset][row]`) plus per-join-position
-//! provenance. The operators here — seed access, index/hash/nested-loop
-//! join steps, filter, project, aggregate, sort — each make **one**
-//! invocation per plan execution and sweep the whole batch, so a rule
-//! firing evaluates its condition/action queries in a single vectorized
-//! pass over the entire transition table instead of interpreting row at a
-//! time.
+//! [`RowBatch`] is the unit of execution: per join position, the rows that
+//! FROM item contributes (its source: matched records of a standard table,
+//! or a temporary table read in place), and per batch row one index into
+//! each position's source. No column value is copied out of a record or a
+//! temp tuple while joining, filtering, sorting or projecting: every read
+//! goes through the record pointer (or the temp table's static map), and a
+//! join step copies only the prefix's row indices. Bound tables take their
+//! §6.1 pointers straight from the sources. The operators here — seed
+//! access, index/hash/nested-loop join steps, filter, project, aggregate,
+//! sort — each make **one** invocation per plan execution and sweep the
+//! whole batch, so a rule firing evaluates its condition/action queries in
+//! a single vectorized pass over the entire transition table instead of
+//! interpreting row at a time.
 //!
 //! Semantics and meter charges are defined by the row-at-a-time reference
 //! interpreter ([`crate::exec::execute_select_rowwise`]): every operator
@@ -17,10 +22,10 @@
 //! [`Program::eval_with`](crate::expr::Program::eval_with) with a column
 //! accessor, so no per-row gather into a contiguous slice happens.
 
-use crate::error::{Result, SqlError};
-use crate::exec::{probe_item, range_item, scan_item, AggState, Env, Rel, ResolvedItem};
-use crate::expr::Program;
-use crate::plan::{self, Access, AggSpec, GroupedOut, JoinStep, OutCol, SelectPlan};
+use crate::error::Result;
+use crate::exec::{probe_item, scan_item, seed_source, AggState, Env, ResolvedItem, Source};
+use crate::expr::{LayoutCol, Program};
+use crate::plan::{self, AggSpec, GroupedOut, JoinStep, OutCol, SelectPlan};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use strip_storage::{Op, RecordRef, Value};
@@ -35,22 +40,26 @@ pub fn invocations() -> u64 {
     INVOCATIONS.load(Ordering::Relaxed)
 }
 
-/// A columnar batch of joined rows.
-pub struct RowBatch {
-    /// Column-major values over the join-order layout:
-    /// `cols[flat_offset][row]`.
-    pub cols: Vec<Vec<Value>>,
-    /// Provenance per join position: `provs[pos][row]`.
-    pub provs: Vec<Vec<Option<RecordRef>>>,
+/// A batch of joined rows over a plan's join-order layout.
+pub struct RowBatch<'p> {
+    /// The joined row layout (flat column -> join position + offset).
+    layout: &'p [LayoutCol],
+    /// Per joined position, the rows it contributes.
+    sources: Vec<Source>,
+    /// `idx[pos][row]`: the batch row's index into `sources[pos]`.
+    idx: Vec<Vec<usize>>,
     rows: usize,
 }
 
-impl RowBatch {
-    fn with_shape(width: usize, items: usize) -> RowBatch {
+impl<'p> RowBatch<'p> {
+    /// A batch holding every row of `seed` at join position 0.
+    fn seed(layout: &'p [LayoutCol], seed: Source) -> RowBatch<'p> {
+        let rows = seed.len();
         RowBatch {
-            cols: vec![Vec::new(); width],
-            provs: vec![Vec::new(); items],
-            rows: 0,
+            layout,
+            idx: vec![(0..rows).collect()],
+            sources: vec![seed],
+            rows,
         }
     }
 
@@ -64,19 +73,34 @@ impl RowBatch {
         self.rows == 0
     }
 
+    /// The value at flat column `col` of row `r`, read in place.
+    pub fn value(&self, col: usize, r: usize) -> &Value {
+        let lc = &self.layout[col];
+        self.sources[lc.item].value(self.idx[lc.item][r], lc.item_offset)
+    }
+
+    /// The record join position `pos` contributes to row `r`, when the
+    /// item has one per row (standard tables, single-pointer temp tables).
+    pub(crate) fn record(&self, pos: usize, r: usize) -> Option<&RecordRef> {
+        self.sources[pos].record(self.idx[pos][r])
+    }
+
+    /// Extend every row by the next join position: output row `i` is outer
+    /// row `outer[i]` joined with row `inner[i]` of `source`.
+    fn join(&mut self, outer: &[usize], inner: Vec<usize>, source: Source) {
+        for col in &mut self.idx {
+            *col = outer.iter().map(|&r| col[r]).collect();
+        }
+        self.idx.push(inner);
+        self.sources.push(source);
+        self.rows = outer.len();
+    }
+
     /// Keep only rows whose mask entry is true (stable).
     fn retain(&mut self, keep: &[bool]) {
-        for col in &mut self.cols {
+        for col in &mut self.idx {
             let mut i = 0;
             col.retain(|_| {
-                let k = keep[i];
-                i += 1;
-                k
-            });
-        }
-        for prov in &mut self.provs {
-            let mut i = 0;
-            prov.retain(|_| {
                 let k = keep[i];
                 i += 1;
                 k
@@ -87,56 +111,9 @@ impl RowBatch {
 
     /// Reorder rows by a permutation (`perm[i]` = source row of output `i`).
     fn permute(&mut self, perm: &[usize]) {
-        for col in &mut self.cols {
-            let moved: Vec<Value> = perm.iter().map(|&i| col[i].clone()).collect();
-            *col = moved;
+        for col in &mut self.idx {
+            *col = perm.iter().map(|&i| col[i]).collect();
         }
-        for prov in &mut self.provs {
-            let moved: Vec<Option<RecordRef>> = perm.iter().map(|&i| prov[i].clone()).collect();
-            *prov = moved;
-        }
-    }
-
-    /// Append seed rows (join position 0); later positions get no
-    /// provenance yet.
-    fn extend_seed(&mut self, rows: Vec<(Vec<Value>, Option<RecordRef>)>) {
-        for (vals, prov) in rows {
-            for (c, v) in vals.into_iter().enumerate() {
-                self.cols[c].push(v);
-            }
-            self.provs[0].push(prov);
-            for p in self.provs[1..].iter_mut() {
-                p.push(None);
-            }
-            self.rows += 1;
-        }
-    }
-
-    /// Append one joined row: the prefix copied from `self`'s row `r`
-    /// cannot work in place, so join steps build into a fresh batch.
-    fn push_joined(
-        &mut self,
-        outer: &RowBatch,
-        r: usize,
-        prefix: usize,
-        inner_vals: &[Value],
-        pos: usize,
-        prov: &Option<RecordRef>,
-    ) {
-        for c in 0..prefix {
-            self.cols[c].push(outer.cols[c][r].clone());
-        }
-        for (c, v) in inner_vals.iter().enumerate() {
-            self.cols[prefix + c].push(v.clone());
-        }
-        for (p, prov_col) in self.provs.iter_mut().enumerate() {
-            if p == pos {
-                prov_col.push(prov.clone());
-            } else {
-                prov_col.push(outer.provs[p].get(r).cloned().unwrap_or(None));
-            }
-        }
-        self.rows += 1;
     }
 }
 
@@ -146,7 +123,7 @@ impl RowBatch {
 fn filter_batch(
     env: &dyn Env,
     filters: &[Program],
-    batch: &mut RowBatch,
+    batch: &mut RowBatch<'_>,
     params: &[Value],
 ) -> Result<()> {
     let m = env.meter();
@@ -154,7 +131,7 @@ fn filter_batch(
         let mut keep = Vec::with_capacity(batch.rows);
         for r in 0..batch.rows {
             m.charge(Op::EvalExpr, 1);
-            keep.push(f.eval_bool_with(&|i| batch.cols[i][r].clone(), params)?);
+            keep.push(f.eval_bool_with(&|i| batch.value(i, r).clone(), params)?);
         }
         if keep.iter().any(|k| !k) {
             batch.retain(&keep);
@@ -163,87 +140,85 @@ fn filter_batch(
     Ok(())
 }
 
-/// Run the access-path + join + filter section of a plan over columnar
-/// batches, and report plan-quality feedback (estimated vs actual joined
-/// cardinality) to the environment.
-pub(crate) fn run_join_batch(
+/// Run the access-path + join + filter section of a plan over a batch, and
+/// report plan-quality feedback (estimated vs actual joined cardinality) to
+/// the environment. Each join step first pairs every output row with its
+/// outer row and inner source row, then rebuilds the batch's index columns
+/// at their final size.
+pub(crate) fn run_join_batch<'p>(
     env: &dyn Env,
-    plan: &SelectPlan,
+    plan: &'p SelectPlan,
     items: &[ResolvedItem],
     params: &[Value],
-) -> Result<RowBatch> {
-    let n = items.len();
+) -> Result<RowBatch<'p>> {
     let m = env.meter();
-
-    let seed_rows = match &plan.seed {
-        Access::Scan => scan_item(env, &items[0]),
-        Access::IndexEq { column, key } => {
-            let key = key.eval(&[], params)?;
-            probe_item(env, &items[0], *column, &key)?
-                .ok_or_else(|| SqlError::stale("index used by plan no longer exists"))?
-        }
-        Access::IndexRange { column, lo, hi } => {
-            let lo = lo.eval(&[], params)?;
-            let hi = hi.eval(&[], params)?;
-            range_item(env, &items[0], *column, &lo, &hi)
-                .ok_or_else(|| SqlError::stale("ordered index used by plan no longer exists"))?
-        }
-    };
-    let mut batch = RowBatch::with_shape(plan.prefix_len[1], n);
-    batch.extend_seed(seed_rows);
+    let seed = seed_source(env, plan, &items[0], params)?;
+    let mut batch = RowBatch::seed(&plan.layout.cols, seed);
     filter_batch(env, &plan.filters[0], &mut batch, params)?;
 
     for (k, step) in plan.steps.iter().enumerate() {
-        let k = k + 1;
-        let item = &items[k];
-        let prefix = plan.prefix_len[k];
-        let mut next = RowBatch::with_shape(plan.prefix_len[k + 1], n);
-        match step {
+        let item = &items[k + 1];
+        let (outer, inner, source) = match step {
             JoinStep::IndexProbe { column, key } => {
+                // Each prefix row's matches land contiguously in `recs`,
+                // so the new position's indices count up from zero.
+                let mut recs = Vec::with_capacity(batch.rows);
+                let mut outer = Vec::with_capacity(batch.rows);
                 for r in 0..batch.rows {
                     m.charge(Op::EvalExpr, 1);
-                    let key = key.eval_with(&|i| batch.cols[i][r].clone(), params)?;
-                    if let Some(matches) = probe_item(env, item, *column, &key)? {
-                        for (vals, prov) in &matches {
-                            next.push_joined(&batch, r, prefix, vals, k, prov);
-                        }
-                    }
+                    let key = key.eval_with(&|i| batch.value(i, r).clone(), params)?;
+                    let start = recs.len();
+                    probe_item(env, item, *column, &key, &mut recs)?;
+                    outer.extend(std::iter::repeat_n(r, recs.len() - start));
                 }
+                let inner = (0..recs.len()).collect();
+                (outer, inner, Source::Records(recs))
             }
             JoinStep::HashJoin { column, key } => {
-                // Build: materialize and hash the inner once.
-                let inner = scan_item(env, item);
-                m.charge(Op::UniqueHashOp, inner.len() as u64);
-                let mut table: HashMap<Value, Vec<usize>> = HashMap::new();
-                for (i, (vals, _)) in inner.iter().enumerate() {
-                    table.entry(vals[*column].clone()).or_default().push(i);
+                // Build: hash the inner once, keyed by its values in place.
+                let source = scan_item(env, item);
+                m.charge(Op::UniqueHashOp, source.len() as u64);
+                let mut table: HashMap<&Value, Vec<usize>> = HashMap::new();
+                for i in 0..source.len() {
+                    table.entry(source.value(i, *column)).or_default().push(i);
                 }
                 // Probe: one key evaluation + hash probe per prefix row,
                 // one tuple read per emitted match.
+                let mut hits = Vec::with_capacity(batch.rows);
                 for r in 0..batch.rows {
                     m.charge(Op::EvalExpr, 1);
-                    let key = key.eval_with(&|i| batch.cols[i][r].clone(), params)?;
+                    let key = key.eval_with(&|i| batch.value(i, r).clone(), params)?;
                     m.charge(Op::UniqueHashOp, 1);
-                    if let Some(idxs) = table.get(&key) {
-                        m.charge(Op::TempTupleRead, idxs.len() as u64);
-                        for &i in idxs {
-                            let (vals, prov) = &inner[i];
-                            next.push_joined(&batch, r, prefix, vals, k, prov);
-                        }
+                    let hit = table.get(&key).map_or(&[][..], Vec::as_slice);
+                    if !hit.is_empty() {
+                        m.charge(Op::TempTupleRead, hit.len() as u64);
                     }
+                    hits.push(hit);
                 }
+                let total = hits.iter().map(|h| h.len()).sum();
+                let mut outer = Vec::with_capacity(total);
+                let mut inner = Vec::with_capacity(total);
+                for (r, hit) in hits.iter().enumerate() {
+                    outer.extend(std::iter::repeat_n(r, hit.len()));
+                    inner.extend_from_slice(hit);
+                }
+                (outer, inner, source)
             }
             JoinStep::NestedLoop => {
-                let inner = scan_item(env, item);
+                let source = scan_item(env, item);
+                let n = source.len();
+                let total = batch.rows * n;
+                let mut outer = Vec::with_capacity(total);
+                let mut inner = Vec::with_capacity(total);
                 for r in 0..batch.rows {
-                    for (vals, prov) in &inner {
-                        next.push_joined(&batch, r, prefix, vals, k, prov);
-                    }
+                    outer.extend(std::iter::repeat_n(r, n));
+                    inner.extend(0..n);
                 }
+                (outer, inner, source)
             }
-        }
-        batch = next;
-        filter_batch(env, &plan.filters[k], &mut batch, params)?;
+        };
+        batch.join(&outer, inner, source);
+        filter_batch(env, &plan.filters[k + 1], &mut batch, params)?;
     }
 
     INVOCATIONS.fetch_add(1, Ordering::Relaxed);
@@ -255,7 +230,7 @@ pub(crate) fn run_join_batch(
 pub(crate) fn project_batch(
     env: &dyn Env,
     outs: &[OutCol],
-    batch: &RowBatch,
+    batch: &RowBatch<'_>,
     params: &[Value],
 ) -> Result<Vec<Vec<Value>>> {
     let meter = env.meter();
@@ -265,9 +240,9 @@ pub(crate) fn project_batch(
         let mut row = Vec::with_capacity(outs.len());
         for o in outs {
             match o {
-                OutCol::Passthrough { idx } => row.push(batch.cols[*idx][r].clone()),
+                OutCol::Passthrough { idx } => row.push(batch.value(*idx, r).clone()),
                 OutCol::Computed(p) => {
-                    row.push(p.eval_with(&|i| batch.cols[i][r].clone(), params)?)
+                    row.push(p.eval_with(&|i| batch.value(i, r).clone(), params)?)
                 }
             }
         }
@@ -281,7 +256,7 @@ pub(crate) fn project_batch(
 pub(crate) fn aggregate_batch(
     env: &dyn Env,
     agg: &plan::AggPlan,
-    batch: &RowBatch,
+    batch: &RowBatch<'_>,
     params: &[Value],
 ) -> Result<Vec<Vec<Value>>> {
     let meter = env.meter();
@@ -295,7 +270,7 @@ pub(crate) fn aggregate_batch(
     };
     for r in 0..batch.rows {
         meter.charge(Op::AggRow, 1);
-        let col = |i: usize| batch.cols[i][r].clone();
+        let col = |i: usize| batch.value(i, r).clone();
         let mut key = Vec::with_capacity(m);
         for ke in &agg.keys {
             key.push(ke.eval_with(&col, params)?);
@@ -353,15 +328,15 @@ pub(crate) fn aggregate_batch(
 /// after the sort like the reference's captured-error scheme.
 pub(crate) fn sort_batch(
     keys: &[(Program, bool)],
-    batch: &mut RowBatch,
+    batch: &mut RowBatch<'_>,
     params: &[Value],
 ) -> Result<()> {
     let mut perm: Vec<usize> = (0..batch.rows).collect();
     let mut err = None;
     perm.sort_by(|&a, &b| {
         for (k, desc) in keys {
-            let ka = k.eval_with(&|i| batch.cols[i][a].clone(), params);
-            let kb = k.eval_with(&|i| batch.cols[i][b].clone(), params);
+            let ka = k.eval_with(&|i| batch.value(i, a).clone(), params);
+            let kb = k.eval_with(&|i| batch.value(i, b).clone(), params);
             let (va, vb) = match (ka, kb) {
                 (Ok(x), Ok(y)) => (x, y),
                 (Err(e), _) | (_, Err(e)) => {
@@ -384,11 +359,4 @@ pub(crate) fn sort_batch(
         batch.permute(&perm);
     }
     Ok(())
-}
-
-/// Is `self.rel` a temp relation? (Used by tests asserting hash-join lock
-/// behavior keeps whole-table reads for non-keyed inners.)
-#[allow(dead_code)]
-fn is_temp(item: &ResolvedItem) -> bool {
-    matches!(item.rel, Rel::Temp(_))
 }

@@ -46,10 +46,6 @@ use strip_storage::{
     ColumnSource, Meter, Op, RecordRef, RowId, SchemaRef, StaticMap, TempTable, Value,
 };
 
-/// Rows produced by an index probe or range scan: the materialized values
-/// plus, for standard tables, the live record handle for in-place updates.
-pub(crate) type IndexedRows = Vec<(Vec<Value>, Option<RecordRef>)>;
-
 /// A readable relation.
 #[derive(Clone)]
 pub enum Rel {
@@ -206,11 +202,24 @@ impl ResultSet {
 /// A FROM item resolved against the live environment for one execution.
 pub(crate) struct ResolvedItem {
     pub(crate) rel: Rel,
-    /// For each visible column: offset within the item's single backing
-    /// record, when the column can be served by a record pointer.
-    pub(crate) prov_offsets: Vec<Option<usize>>,
-    /// Whether the item can yield a `RecordRef` per row at all.
+    /// Whether the item can yield a `RecordRef` per row at all: standard
+    /// tables, and temp tables whose tuples hold exactly one pointer.
     pub(crate) has_prov: bool,
+}
+
+impl ResolvedItem {
+    /// Offset of visible column `col` within the item's single backing
+    /// record, when a record pointer can serve it.
+    pub(crate) fn prov_offset(&self, col: usize) -> Option<usize> {
+        match &self.rel {
+            Rel::Standard(_) => Some(col),
+            Rel::Temp(_) if !self.has_prov => None,
+            Rel::Temp(t) => match t.static_map().sources()[col] {
+                ColumnSource::Pointer { offset, .. } => Some(offset),
+                ColumnSource::Slot(_) => None,
+            },
+        }
+    }
 }
 
 /// `keyed` marks an item the plan reads only through equality index probes
@@ -226,40 +235,19 @@ fn resolve_item(env: &dyn Env, item: &PlannedItem, keyed: bool) -> Result<Resolv
             env.before_read(&item.table)?;
         }
     }
-    let arity = rel.schema().arity();
-    if arity != item.arity {
+    if rel.schema().arity() != item.arity {
         return Err(SqlError::stale(format!(
             "table `{}` changed shape since planning",
             item.table
         )));
     }
-    let (prov_offsets, has_prov) = match &rel {
-        Rel::Standard(_) => ((0..arity).map(Some).collect(), true),
-        Rel::Temp(t) => {
-            let map = t.static_map();
-            if map.n_ptrs() == 1 {
-                (
-                    map.sources()
-                        .iter()
-                        .map(|s| match s {
-                            ColumnSource::Pointer { offset, .. } => Some(*offset),
-                            ColumnSource::Slot(_) => None,
-                        })
-                        .collect(),
-                    true,
-                )
-            } else {
-                // Zero or multiple backing records per tuple: no single
-                // provenance pointer; downstream bound tables materialize.
-                (vec![None; arity], false)
-            }
-        }
+    // Zero or multiple backing records per temp tuple: no single
+    // provenance pointer; downstream bound tables materialize.
+    let has_prov = match &rel {
+        Rel::Standard(_) => true,
+        Rel::Temp(t) => t.static_map().n_ptrs() == 1,
     };
-    Ok(ResolvedItem {
-        rel,
-        prov_offsets,
-        has_prov,
-    })
+    Ok(ResolvedItem { rel, has_prov })
 }
 
 /// Resolve all FROM items in declaration order (that is the lock-acquisition
@@ -300,10 +288,56 @@ struct JRow {
     provs: Vec<Option<RecordRef>>,
 }
 
-pub(crate) fn scan_item(
-    env: &dyn Env,
-    item: &ResolvedItem,
-) -> Vec<(Vec<Value>, Option<RecordRef>)> {
+/// The rows one FROM item contributes to a plan execution, read in place:
+/// the matched records of a standard table, or a temporary table itself.
+/// Nothing is copied out of either; the batch executor addresses rows by
+/// index and reads columns through the record pointer or the temp table's
+/// static map.
+pub(crate) enum Source {
+    /// Record versions of a standard table (scanned, probed or range-read).
+    Records(Vec<RecordRef>),
+    /// A temporary table; `prov` when each tuple has one backing record
+    /// (see [`ResolvedItem::has_prov`]).
+    Temp { table: Arc<TempTable>, prov: bool },
+}
+
+impl Source {
+    /// Number of rows.
+    pub(crate) fn len(&self) -> usize {
+        match self {
+            Source::Records(v) => v.len(),
+            Source::Temp { table, .. } => table.len(),
+        }
+    }
+
+    /// Column `col` of row `i`.
+    pub(crate) fn value(&self, i: usize, col: usize) -> &Value {
+        match self {
+            Source::Records(v) => v[i].get(col),
+            Source::Temp { table, .. } => table.value(i, col),
+        }
+    }
+
+    /// The record backing row `i`, when the item has one per row.
+    pub(crate) fn record(&self, i: usize) -> Option<&RecordRef> {
+        match self {
+            Source::Records(v) => Some(&v[i]),
+            Source::Temp { table, prov: true } => table.tuples()[i].ptrs().first(),
+            Source::Temp { prov: false, .. } => None,
+        }
+    }
+
+    /// Row `i` as values plus provenance (the row-wise reference's form).
+    fn row(&self, i: usize) -> (Vec<Value>, Option<RecordRef>) {
+        match self {
+            Source::Records(v) => (v[i].values().to_vec(), Some(v[i].clone())),
+            Source::Temp { table, .. } => (table.row_values(i), self.record(i).cloned()),
+        }
+    }
+}
+
+/// Open a cursor over a whole FROM item.
+pub(crate) fn scan_item(env: &dyn Env, item: &ResolvedItem) -> Source {
     let m = env.meter();
     m.charge(Op::OpenCursor, 1);
     let out = match &item.rel {
@@ -312,54 +346,48 @@ pub(crate) fn scan_item(
                 Some(ts) => t.scan_at(ts),
                 None => t.scan(),
             };
-            let mut v = Vec::with_capacity(rows.len());
-            for (_, rec) in rows {
-                v.push((rec.values().to_vec(), Some(rec)));
-            }
-            m.charge(Op::FetchCursor, v.len() as u64);
-            v
+            m.charge(Op::FetchCursor, rows.len() as u64);
+            Source::Records(rows.into_iter().map(|(_, rec)| rec).collect())
         }
         Rel::Temp(t) => {
-            let mut v = Vec::with_capacity(t.len());
-            for i in 0..t.len() {
-                let rec = if item.has_prov && !t.tuples()[i].ptrs().is_empty() {
-                    Some(t.tuples()[i].ptrs()[0].clone())
-                } else {
-                    None
-                };
-                v.push((t.row_values(i), rec));
+            m.charge(Op::TempTupleRead, t.len() as u64);
+            Source::Temp {
+                table: t.clone(),
+                prov: item.has_prov,
             }
-            m.charge(Op::TempTupleRead, v.len() as u64);
-            v
         }
     };
     m.charge(Op::CloseCursor, 1);
     out
 }
 
+/// Equality index probe: append the records of `item` whose `column`
+/// equals `key` to `out`. Returns false, appending nothing, when the item
+/// is not an indexed standard table.
 pub(crate) fn probe_item(
     env: &dyn Env,
     item: &ResolvedItem,
     column: usize,
     key: &Value,
-) -> Result<Option<IndexedRows>> {
+    out: &mut Vec<RecordRef>,
+) -> Result<bool> {
     let Rel::Standard(t) = &item.rel else {
-        return Ok(None);
+        return Ok(false);
     };
     if t.index_on(column).is_none() {
-        return Ok(None);
+        return Ok(false);
     }
     // Key-granular read lock: IS on the table, S on `table#column=key`.
     // Taken before the index lookup so the probe sees a stable key range.
     env.before_read_keyed(t.name(), &t.schema().column(column).name, key)?;
     let Some(ids) = t.index_lookup(column, key) else {
-        return Ok(None);
+        return Ok(false);
     };
     let m = env.meter();
     m.charge(Op::IndexProbe, 1);
     m.charge(Op::FetchCursor, ids.len() as u64);
     let ts = env.snapshot_ts();
-    Ok(Some(
+    out.extend(
         ids.into_iter()
             .filter_map(|id| match ts {
                 Some(ts) => t.get_at(id, ts),
@@ -369,10 +397,9 @@ pub(crate) fn probe_item(
             // this probe, and a version chain keeps a posting for every key
             // any retained version carries — so a posting may resolve to a
             // version that no longer has the probed key. Revalidate here.
-            .filter(|rec| rec.get(column) == key)
-            .map(|rec| (rec.values().to_vec(), Some(rec)))
-            .collect(),
-    ))
+            .filter(|rec| rec.get(column) == key),
+    );
+    Ok(true)
 }
 
 /// Inclusive ordered-index range scan on the seed item.
@@ -382,7 +409,7 @@ pub(crate) fn range_item(
     column: usize,
     lo: &Value,
     hi: &Value,
-) -> Option<IndexedRows> {
+) -> Option<Vec<RecordRef>> {
     let Rel::Standard(t) = &item.rel else {
         return None;
     };
@@ -400,9 +427,37 @@ pub(crate) fn range_item(
                 Some(ts) => t.get_at(id, ts),
                 None => t.get(id).ok(),
             })
-            .map(|rec| (rec.values().to_vec(), Some(rec)))
             .collect(),
     )
+}
+
+/// The seed rows of a plan: its access path over join position 0.
+pub(crate) fn seed_source(
+    env: &dyn Env,
+    plan: &SelectPlan,
+    item: &ResolvedItem,
+    params: &[Value],
+) -> Result<Source> {
+    Ok(match &plan.seed {
+        Access::Scan => scan_item(env, item),
+        Access::IndexEq { column, key } => {
+            let key = key.eval(&[], params)?;
+            let mut recs = Vec::new();
+            if !probe_item(env, item, *column, &key, &mut recs)? {
+                return Err(SqlError::stale("index used by plan no longer exists"));
+            }
+            Source::Records(recs)
+        }
+        Access::IndexRange { column, lo, hi } => {
+            let lo = lo.eval(&[], params)?;
+            let hi = hi.eval(&[], params)?;
+            Source::Records(
+                range_item(env, item, *column, &lo, &hi).ok_or_else(|| {
+                    SqlError::stale("ordered index used by plan no longer exists")
+                })?,
+            )
+        }
+    })
 }
 
 /// Apply residual filters assigned to one join position, in original
@@ -438,23 +493,10 @@ fn run_join(
     let n = items.len();
     let m = env.meter();
 
-    let seed_rows = match &plan.seed {
-        Access::Scan => scan_item(env, &items[0]),
-        Access::IndexEq { column, key } => {
-            let key = key.eval(&[], params)?;
-            probe_item(env, &items[0], *column, &key)?
-                .ok_or_else(|| SqlError::stale("index used by plan no longer exists"))?
-        }
-        Access::IndexRange { column, lo, hi } => {
-            let lo = lo.eval(&[], params)?;
-            let hi = hi.eval(&[], params)?;
-            range_item(env, &items[0], *column, &lo, &hi)
-                .ok_or_else(|| SqlError::stale("ordered index used by plan no longer exists"))?
-        }
-    };
-    let mut rows: Vec<JRow> = seed_rows
-        .into_iter()
-        .map(|(vals, prov)| {
+    let seed = seed_source(env, plan, &items[0], params)?;
+    let mut rows: Vec<JRow> = (0..seed.len())
+        .map(|i| {
+            let (vals, prov) = seed.row(i);
             let mut provs = vec![None; n];
             provs[0] = prov;
             JRow { vals, provs }
@@ -471,13 +513,13 @@ fn run_join(
                 for r in &rows {
                     m.charge(Op::EvalExpr, 1);
                     let key = key.eval(&r.vals, params)?;
-                    if let Some(matches) = probe_item(env, item, *column, &key)? {
-                        for (vals, prov) in matches {
-                            let mut nr = r.clone();
-                            nr.vals.extend(vals);
-                            nr.provs[k] = prov;
-                            next_rows.push(nr);
-                        }
+                    let mut matches = Vec::new();
+                    probe_item(env, item, *column, &key, &mut matches)?;
+                    for rec in matches {
+                        let mut nr = r.clone();
+                        nr.vals.extend_from_slice(rec.values());
+                        nr.provs[k] = Some(rec);
+                        next_rows.push(nr);
                     }
                 }
             }
@@ -486,6 +528,7 @@ fn run_join(
                 // key evaluation and one hash probe per prefix row; every
                 // emitted match reads one built tuple.
                 let inner = scan_item(env, item);
+                let inner: Vec<_> = (0..inner.len()).map(|i| inner.row(i)).collect();
                 m.charge(Op::UniqueHashOp, inner.len() as u64);
                 let mut table: HashMap<Value, Vec<usize>> = HashMap::new();
                 for (i, (vals, _)) in inner.iter().enumerate() {
@@ -510,6 +553,7 @@ fn run_join(
             JoinStep::NestedLoop => {
                 // Nested-loop join: materialize the inner once.
                 let inner = scan_item(env, item);
+                let inner: Vec<_> = (0..inner.len()).map(|i| inner.row(i)).collect();
                 for r in &rows {
                     for (vals, prov) in &inner {
                         let mut nr = r.clone();
@@ -1052,7 +1096,8 @@ pub fn execute_select_bound(
     // Assign pointer slots per contributing item, in first-use order — the
     // paper's "one pointer to each standard tuple that contributes at least
     // one attribute".
-    let mut item_ptr_slot: HashMap<usize, usize> = HashMap::new();
+    // `ptr_items[ptr]` is the join position pointer `ptr` points into.
+    let mut ptr_items: Vec<usize> = Vec::new();
     let mut sources = Vec::with_capacity(outs.len());
     let mut slot_count = 0usize;
     for o in outs {
@@ -1061,9 +1106,14 @@ pub fn execute_select_bound(
                 let lc = &plan.layout.cols[*idx];
                 let item = &items[lc.item];
                 if item.has_prov {
-                    if let Some(offset) = item.prov_offsets[lc.item_offset] {
-                        let next = item_ptr_slot.len();
-                        let ptr = *item_ptr_slot.entry(lc.item).or_insert(next);
+                    if let Some(offset) = item.prov_offset(lc.item_offset) {
+                        let ptr = match ptr_items.iter().position(|&i| i == lc.item) {
+                            Some(ptr) => ptr,
+                            None => {
+                                ptr_items.push(lc.item);
+                                ptr_items.len() - 1
+                            }
+                        };
                         sources.push(ColumnSource::Pointer { ptr, offset });
                         continue;
                     }
@@ -1080,20 +1130,15 @@ pub fn execute_select_bound(
     let map = StaticMap::new(sources.clone())?;
     let mut out = TempTable::new(bind_name, plan.schema.clone(), map)?;
 
-    // Item -> pointer slot, ordered by slot for row building.
-    let mut ptr_items: Vec<usize> = vec![0; item_ptr_slot.len()];
-    for (item, slot) in &item_ptr_slot {
-        ptr_items[*slot] = *item;
-    }
-
     let meter = env.meter();
     for r in 0..batch.len() {
         meter.charge(Op::TempTupleBuild, 1);
         let mut ptrs = Vec::with_capacity(ptr_items.len());
         for &item in &ptr_items {
             ptrs.push(
-                batch.provs[item][r]
-                    .clone()
+                batch
+                    .record(item, r)
+                    .cloned()
                     .ok_or_else(|| SqlError::exec("missing provenance record"))?,
             );
         }
@@ -1101,9 +1146,9 @@ pub fn execute_select_bound(
         for (o, src) in outs.iter().zip(&sources) {
             if let ColumnSource::Slot(_) = src {
                 match o {
-                    OutCol::Passthrough { idx } => slots.push(batch.cols[*idx][r].clone()),
+                    OutCol::Passthrough { idx } => slots.push(batch.value(*idx, r).clone()),
                     OutCol::Computed(p) => {
-                        slots.push(p.eval_with(&|i| batch.cols[i][r].clone(), params)?)
+                        slots.push(p.eval_with(&|i| batch.value(i, r).clone(), params)?)
                     }
                 }
             }

@@ -18,9 +18,10 @@
 //! * [`exec`] — plan execution entry points, DML, and bound-table output
 //!   using the §6.1 pointer-tuple scheme; also the row-at-a-time reference
 //!   interpreter [`exec::execute_select_rowwise`].
-//! * [`batch`] — the vectorized executor: columnar [`batch::RowBatch`]
-//!   operators (join, filter, project, aggregate, sort) making one plan
-//!   invocation per rule firing over the whole transition table.
+//! * [`batch`] — the vectorized executor: [`batch::RowBatch`] operators
+//!   (join, filter, project, aggregate, sort) over row indices into the
+//!   joined records and temp tables, making one plan invocation per rule
+//!   firing over the whole transition table.
 //! * [`cache`] — the prepared-plan cache keyed by statement text and plan
 //!   epoch (schema epoch folded with the statistics epoch), shared by
 //!   ad-hoc queries, rule conditions, and timers.

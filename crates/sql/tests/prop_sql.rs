@@ -373,3 +373,179 @@ proptest! {
         prop_assert_eq!(cache.hits(), queries.len() as u64);
     }
 }
+
+// ---------------------------------------------------------------------------
+// Bound-mode parity: a result bound as a §6.1 temporary table (pointer
+// columns where a FROM item supplies a record, slots elsewhere) reads back
+// exactly the rows the plain query returns, and binding costs exactly the
+// plain row-wise execution plus one tuple build per row.
+// ---------------------------------------------------------------------------
+
+/// An environment with standard tables and named temporary tables.
+struct TempEnv {
+    catalog: Catalog,
+    temps: HashMap<String, Arc<strip_storage::TempTable>>,
+    meter: CountingMeter,
+}
+
+impl Env for TempEnv {
+    fn meter(&self) -> &dyn Meter {
+        &self.meter
+    }
+    fn relation(&self, name: &str) -> Option<Rel> {
+        match self.temps.get(name) {
+            Some(t) => Some(Rel::Temp(t.clone())),
+            None => self.catalog.table(name).ok().map(Rel::Standard),
+        }
+    }
+    fn scalar_fn(&self, _name: &str) -> Option<ScalarFn> {
+        None
+    }
+    fn dml_insert(&self, _: &str, _: Vec<Value>) -> strip_sql::Result<()> {
+        unreachable!()
+    }
+    fn dml_update(&self, _: &str, _: strip_storage::RowId, _: Vec<Value>) -> strip_sql::Result<()> {
+        unreachable!()
+    }
+    fn dml_delete(&self, _: &str, _: strip_storage::RowId) -> strip_sql::Result<()> {
+        unreachable!()
+    }
+}
+
+/// Per-`Op` counts charged between two meter snapshots.
+fn meter_delta(
+    before: &std::collections::BTreeMap<strip_storage::Op, u64>,
+    after: &std::collections::BTreeMap<strip_storage::Op, u64>,
+) -> std::collections::BTreeMap<strip_storage::Op, u64> {
+    after
+        .iter()
+        .map(|(op, n)| (*op, n - before.get(op).copied().unwrap_or(0)))
+        .filter(|(_, n)| *n > 0)
+        .collect()
+}
+
+proptest! {
+    #[test]
+    fn bound_result_matches_query_rows_and_charges(
+        base in proptest::collection::vec((0..6i64, 0..100i64), 1..30),
+        side in proptest::collection::vec((0..6i64, -20..20i64), 0..30),
+        updates in proptest::collection::vec((0..30usize, 0..100i64), 0..12),
+        listed in proptest::collection::vec((0..6i64, -5..5i64), 0..8),
+        threshold in -20..20i64,
+    ) {
+        use strip_sql::exec::{execute_query_bound, execute_select, execute_select_bound,
+                              execute_select_rowwise};
+        use strip_sql::plan::BindMode;
+        use strip_sql::{plan_query_with, PlannerMode};
+        use strip_storage::{ColumnSource, IndexKind, Op, StaticMap, TempTable};
+
+        let mut env = TempEnv {
+            catalog: Catalog::new(),
+            temps: HashMap::new(),
+            meter: CountingMeter::new(),
+        };
+        let schema = Schema::of(&[("k", DataType::Int), ("v", DataType::Int)]).into_ref();
+        // `s` is indexed on `k` (probe joins); `b` is not (hash or
+        // nested-loop joins, by planner mode).
+        let s = env.catalog.create_table("s", schema.clone()).unwrap();
+        s.create_index("ix_s_k", "k", IndexKind::Hash).unwrap();
+        let b = env.catalog.create_table("b", schema.clone()).unwrap();
+        let mut ids = Vec::new();
+        for (k, v) in &base {
+            ids.push(s.insert(vec![(*k).into(), (*v).into()]).unwrap().0);
+        }
+        for (k, v) in &side {
+            b.insert(vec![(*k).into(), (*v).into()]).unwrap();
+        }
+        // Transition-style `new`/`old`: one pointer to the record version
+        // plus a materialized `execute_order` slot, as the rule engine
+        // builds them from a log.
+        let tschema = schema.extended(&[("execute_order", DataType::Int)]).unwrap().into_ref();
+        let tmap = || {
+            StaticMap::new(vec![
+                ColumnSource::Pointer { ptr: 0, offset: 0 },
+                ColumnSource::Pointer { ptr: 0, offset: 1 },
+                ColumnSource::Slot(0),
+            ])
+            .unwrap()
+        };
+        let mut new_t = TempTable::new("new", tschema.clone(), tmap()).unwrap();
+        let mut old_t = TempTable::new("old", tschema, tmap()).unwrap();
+        for (order, (row, v)) in updates.iter().enumerate() {
+            let id = ids[row % ids.len()];
+            let k = s.get(id).unwrap().get(0).clone();
+            let (old, new) = s.update(id, vec![k, (*v).into()]).unwrap();
+            let eo = Value::Int(order as i64 + 1);
+            old_t.push(vec![old], vec![eo.clone()]).unwrap();
+            new_t.push(vec![new], vec![eo]).unwrap();
+        }
+        // A fully materialized temp table (no record pointers).
+        let lschema = Schema::of(&[("lk", DataType::Int), ("w", DataType::Int)]).into_ref();
+        let mut listed_t = TempTable::materialized("listed", lschema);
+        for (k, w) in &listed {
+            listed_t.push_row(vec![(*k).into(), (*w).into()]).unwrap();
+        }
+        env.temps.insert("new".into(), Arc::new(new_t));
+        env.temps.insert("old".into(), Arc::new(old_t));
+        env.temps.insert("listed".into(), Arc::new(listed_t));
+
+        let queries = [
+            // The PTA condition's shape: a standard table probed per `new`
+            // row, `old` joined by nested loop under a residual filter.
+            "select s.k, new.v as new_v, old.v as old_v, new.execute_order \
+             from s, new, old \
+             where s.k = new.k and new.execute_order = old.execute_order",
+            // Two-way with a computed slot and a parameter filter.
+            "select new.k, new.v - old.v as d from new, old \
+             where new.execute_order = old.execute_order and new.v >= ?",
+            // Standard-standard join through an unindexed inner.
+            "select s.k, s.v, b.v as bv from s, b where s.k = b.k and b.v >= ?",
+            // A slot-only temp table beside a standard and a pointer temp.
+            "select listed.lk, w, s.v, new.execute_order from listed, s, new \
+             where listed.lk = s.k and s.k = new.k",
+            // Ordered: bound fully materialized.
+            "select b.k, b.v from b, listed where b.k = listed.lk order by b.v, b.k",
+        ];
+        let params = [Value::Int(threshold)];
+        for sql in queries {
+            let q = parse_query(sql).unwrap();
+            for mode in [PlannerMode::Syntactic, PlannerMode::CostBased] {
+                let sp = plan_query_with(&env, &q, mode).unwrap();
+                let plain = execute_select(&env, &sp, &params).unwrap();
+                let m0 = env.meter.snapshot();
+                let bound = execute_select_bound(&env, &sp, &params, "bound").unwrap();
+                let m1 = env.meter.snapshot();
+                execute_select_rowwise(&env, &sp, &params).unwrap();
+                let m2 = env.meter.snapshot();
+                let read: Vec<Vec<Value>> = (0..bound.len())
+                    .map(|r| (0..bound.schema().arity()).map(|c| bound.value(r, c).clone()).collect())
+                    .collect();
+                prop_assert_eq!(&read, &plain.rows, "bound vs plain rows: {} [{:?}]", sql, mode);
+                // Binding builds one tuple per row. A materialized bind
+                // runs the plain query first; a pointer bind builds its
+                // tuples in place of the projection, which the reference
+                // bills one `EvalExpr` per row.
+                let mut want = meter_delta(&m1, &m2);
+                let rows = read.len() as u64;
+                if rows > 0 {
+                    *want.entry(Op::TempTupleBuild).or_default() += rows;
+                    if sp.bind_mode == BindMode::Pointer {
+                        let e = want.get_mut(&Op::EvalExpr).expect("projection charged");
+                        *e -= rows;
+                        if *e == 0 {
+                            want.remove(&Op::EvalExpr);
+                        }
+                    }
+                }
+                prop_assert_eq!(
+                    meter_delta(&m0, &m1), want,
+                    "bound vs row-wise charges: {} [{:?}]", sql, mode
+                );
+            }
+            let by_query = execute_query_bound(&env, &q, &params, "bound").unwrap();
+            let plain = execute_query(&env, &q, &params).unwrap();
+            let read: Vec<Vec<Value>> = by_query.iter_rows().collect();
+            prop_assert_eq!(&read, &plain.rows, "execute_query_bound: {}", sql);
+        }
+    }
+}

@@ -8,9 +8,20 @@ use crate::error::{Result, StorageError};
 use crate::schema::SchemaRef;
 use crate::table::{LatchObserver, StandardTable};
 use parking_lot::RwLock;
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+/// `name` in the lower-case form catalogs key names by: borrowed when it
+/// already is, so lookups by canonical names allocate nothing.
+pub fn fold_name(name: &str) -> Cow<'_, str> {
+    if name.bytes().any(|b| b.is_ascii_uppercase()) {
+        Cow::Owned(name.to_ascii_lowercase())
+    } else {
+        Cow::Borrowed(name)
+    }
+}
 
 /// Shared handle to a standard table.
 pub type TableRef = Arc<StandardTable>;
@@ -121,17 +132,17 @@ impl Catalog {
 
     /// Look up a table.
     pub fn table(&self, name: &str) -> Result<TableRef> {
-        let key = name.to_ascii_lowercase();
+        let key = fold_name(name);
         self.tables
             .read()
-            .get(&key)
+            .get(&*key)
             .cloned()
-            .ok_or(StorageError::NoSuchTable(key))
+            .ok_or_else(|| StorageError::NoSuchTable(key.into_owned()))
     }
 
     /// True if the named table exists.
     pub fn has_table(&self, name: &str) -> bool {
-        self.tables.read().contains_key(&name.to_ascii_lowercase())
+        self.tables.read().contains_key(&*fold_name(name))
     }
 
     /// Byte footprint of every table, sorted by name. One consistent-ish
@@ -170,7 +181,7 @@ impl Catalog {
 
     /// Look up a view definition.
     pub fn view(&self, name: &str) -> Option<ViewDef> {
-        self.views.read().get(&name.to_ascii_lowercase()).cloned()
+        self.views.read().get(&*fold_name(name)).cloned()
     }
 
     /// All view names, sorted.

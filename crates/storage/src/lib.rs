@@ -27,7 +27,7 @@ pub mod table;
 pub mod temp;
 pub mod value;
 
-pub use catalog::{Catalog, TableRef, ViewDef};
+pub use catalog::{fold_name, Catalog, TableRef, ViewDef};
 pub use error::{Result, StorageError};
 pub use index::{Index, IndexKind};
 pub use mem::{record_bytes, row_bytes, value_bytes, TableMem};

@@ -325,6 +325,38 @@ impl TempTable {
         Ok(())
     }
 
+    /// Move every tuple out, leaving the table empty with its definition
+    /// intact: the source of [`TempTable::append_tuples`].
+    pub fn take_tuples(&mut self) -> Vec<TempTuple> {
+        self.tuple_bytes = 0;
+        std::mem::take(&mut self.tuples)
+    }
+
+    /// Append tuples taken out of `def` (or out of a table defined like
+    /// it), in order, moving them: the merge of one `unique on` partition
+    /// whose rows belong to it alone. Under the checks of
+    /// [`TempTable::check_definition`]; a tuple whose layout does not fit
+    /// the static map is an error, and leaves the tuples before it
+    /// appended.
+    pub fn append_tuples(
+        &mut self,
+        def: &TempTable,
+        tuples: impl IntoIterator<Item = TempTuple>,
+    ) -> Result<()> {
+        self.check_definition(def)?;
+        for tuple in tuples {
+            if tuple.ptrs.len() != self.map.n_ptrs || tuple.slots.len() != self.map.n_slots {
+                return Err(StorageError::Invariant(format!(
+                    "temp tuple layout mismatch in `{}`",
+                    self.name
+                )));
+            }
+            self.tuple_bytes += tuple_bytes(&tuple);
+            self.tuples.push(tuple);
+        }
+        Ok(())
+    }
+
     /// Total strong-reference pins this table holds on record versions.
     /// Test/diagnostic aid for the §6.1 retention scheme.
     pub fn pinned_versions(&self) -> usize {
@@ -519,6 +551,40 @@ mod tests {
             Err(StorageError::SchemaMismatch(_))
         ));
         assert_eq!(part.len(), 2, "a failed append leaves the table as it was");
+    }
+
+    #[test]
+    fn take_and_append_tuples_move_rows_under_definition_checks() {
+        let s = Schema::of(&[("a", DataType::Int)]).into_ref();
+        let mut src = TempTable::materialized("m", s.clone());
+        for v in [10i64, 20, 30] {
+            src.push_row(vec![v.into()]).unwrap();
+        }
+        let mut tuples: Vec<Option<TempTuple>> = src.take_tuples().into_iter().map(Some).collect();
+        assert!(src.is_empty());
+        assert_eq!(src.mem_bytes(), 0);
+        let mut part = src.empty_like();
+        part.append_tuples(&src, [2, 0].map(|i| tuples[i].take().unwrap()))
+            .unwrap();
+        let rows: Vec<Vec<Value>> = part.iter_rows().collect();
+        assert_eq!(rows, vec![vec![Value::Int(30)], vec![Value::Int(10)]]);
+        assert_eq!(part.mem_bytes(), part.__walk_mem());
+
+        let other = TempTable::materialized("m", Schema::of(&[("b", DataType::Int)]).into_ref());
+        let rest = tuples[1].take().unwrap();
+        assert!(matches!(
+            part.append_tuples(&other, [rest.clone()]),
+            Err(StorageError::SchemaMismatch(_))
+        ));
+        assert_eq!(part.len(), 2, "a failed append leaves the table as it was");
+        // A tuple whose layout does not fit the static map is refused.
+        let map = StaticMap::new(vec![ColumnSource::Pointer { ptr: 0, offset: 0 }]).unwrap();
+        let mut pointers = TempTable::new("m", s, map).unwrap();
+        let def = pointers.empty_like();
+        assert!(matches!(
+            pointers.append_tuples(&def, [rest]),
+            Err(StorageError::Invariant(_))
+        ));
     }
 
     #[test]
